@@ -936,7 +936,8 @@ fn serve_experiment(report: &mut Report) {
     // ≥ 2× faster. The gated metric is target attainment,
     // min(speedup, 2)/2, the same clamp trick as INDEX-C: raw speedups
     // swing with parse cost between machines, attainment does not.
-    use td_server::{json, Api};
+    use td_server::Api;
+    use td_telemetry::json;
     let w = call_heavy_workload(16, 40, 0xC0DE);
     let replay = td_workload::server_replay(&w.schema, &td_workload::ReplaySpec::default());
 

@@ -5,11 +5,9 @@
 //! `bench_diff` binary [`compare`]s a fresh report against it in the
 //! `bench-gate` CI job.
 //!
-//! The container has no crates registry, so (de)serialization is
-//! hand-rolled for exactly the shape we emit — a flat object with an
-//! `experiments` array and a `metrics` map — rather than stubbing all of
-//! serde. Parsing accepts any JSON value but the extractor only reads
-//! that shape.
+//! The report is a flat object with an `experiments` array and a
+//! `metrics` map, written by hand and read through
+//! [`td_telemetry::json`]; the extractor reads only that shape.
 //!
 //! ## Gating rules
 //!
@@ -26,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use td_telemetry::json::{quote, Json};
 
 /// Relative tolerance for gated `ratio_*` metrics (±30%).
 pub const DEFAULT_THRESHOLD: f64 = 0.30;
@@ -64,13 +63,13 @@ impl BenchReport {
     pub fn parse(src: &str) -> Result<BenchReport, String> {
         let value = Json::parse(src)?;
         let mut report = BenchReport::default();
-        let top = value.as_object().ok_or("top level is not an object")?;
+        let top = value.as_obj().ok_or("top level is not an object")?;
         if let Some(experiments) = top.get("experiments") {
             for row in experiments
-                .as_array()
+                .as_arr()
                 .ok_or("`experiments` is not an array")?
             {
-                let row = row.as_object().ok_or("experiment row is not an object")?;
+                let row = row.as_obj().ok_or("experiment row is not an object")?;
                 let id = row
                     .get("id")
                     .and_then(Json::as_str)
@@ -83,7 +82,7 @@ impl BenchReport {
             }
         }
         if let Some(metrics) = top.get("metrics") {
-            for (name, value) in metrics.as_object().ok_or("`metrics` is not an object")? {
+            for (name, value) in metrics.as_obj().ok_or("`metrics` is not an object")? {
                 let value = value
                     .as_f64()
                     .ok_or_else(|| format!("metric `{name}` is not a number"))?;
@@ -141,263 +140,6 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, threshold: f64) ->
     failures
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal JSON value, sufficient for the report shape.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected `{}` at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `}}` at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `]` at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {:?}", other.map(|c| c as char))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|e| format!("bad number `{text}`: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,20 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_escapes_and_whitespace() {
-        let src = r#"
-            { "experiments": [ {"id": "a \"b\"\nc", "ok": false} ],
-              "metrics": { "ratio_x": -1.5e2 } }
-        "#;
-        let r = BenchReport::parse(src).unwrap();
-        assert_eq!(r.experiments, vec![("a \"b\"\nc".to_string(), false)]);
-        assert_eq!(r.metrics["ratio_x"], -150.0);
-    }
-
-    #[test]
     fn parser_rejects_garbage() {
-        assert!(BenchReport::parse("").is_err());
-        assert!(BenchReport::parse("{,}").is_err());
         assert!(BenchReport::parse("{} trailing").is_err());
         assert!(BenchReport::parse(r#"{"metrics": {"x": "nan"}}"#).is_err());
     }

@@ -261,7 +261,7 @@ fn watch_stream(addr: &str, query: &str, max_events: u64) -> Result<String, CliE
 /// tails from `/v1/stats` plus the newest flight-recorder rows from
 /// `/v1/debug/requests`.
 fn top_frame(addr: &str) -> Result<String, CliError> {
-    use td_server::json::Json;
+    use td_telemetry::json::Json;
     let fetch = |path: &str| -> Result<Json, CliError> {
         let (status, body) = td_server::http_call(addr, "GET", path, None)
             .map_err(|e| fail(format!("top: cannot reach {addr}: {e}")))?;
@@ -1386,7 +1386,7 @@ mod tests {
         let api = td_server::Api::new();
         let body = format!(
             "{{\"schema_text\": {}, \"type\": \"Employee\", \"attrs\": [\"SSN\", \"pay_rate\", \"hrs_worked\"]}}",
-            td_server::json::quote(FIG1)
+            td_telemetry::json::quote(FIG1)
         );
         let resp = api.handle("POST", "/v1/project", "", body.as_bytes());
         assert_eq!(resp.status, 200, "{}", resp.body);

@@ -462,42 +462,45 @@ impl BatchDeriver {
             .map(|p| p.get())
             .unwrap_or(1);
         let threads = self.threads.min(n.max(1)).min(cores);
-        // Trace scopes are thread-local; capture the ambient trace here
-        // so worker threads can re-establish it per request. Each item
-        // gets a child id sharing the parent's 16-hex family prefix —
-        // one grep over a drained trace finds the whole batch.
+        // Trace scopes and span depth are thread-local; capture both here
+        // so worker threads can re-establish them. Each item gets a child
+        // id sharing the parent's 16-hex family prefix — one grep over a
+        // drained trace finds the whole batch — and every item's spans
+        // nest under `batch/run` at the same depth on any thread.
         let parent_trace = td_telemetry::current_trace();
+        let parent_depth = td_telemetry::current_depth();
 
-        let per_worker: Vec<Vec<RequestOutcome>> = if threads == 1 {
-            // Spawn-free sequential fast path: one worker would only
-            // add a scope, a spawn and a join around the same loop.
-            vec![(0..n)
-                .map(|i| self.run_one(i, &requests[i], parent_trace))
-                .collect()]
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut mine = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                mine.push(self.run_one(i, &requests[i], parent_trace));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            })
+        let cursor = AtomicUsize::new(0);
+        let worker = || {
+            let mut mine = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                mine.push(self.run_one(i, &requests[i], parent_trace));
+            }
+            mine
         };
+        let per_worker: Vec<Vec<RequestOutcome>> = std::thread::scope(|scope| {
+            // The calling thread is one of the workers, so a one-thread
+            // batch spawns nothing.
+            let spawned: Vec<_> = (1..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _depth = td_telemetry::depth_scope(parent_depth);
+                        worker()
+                    })
+                })
+                .collect();
+            let mut outcomes = vec![worker()];
+            outcomes.extend(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("batch worker panicked")),
+            );
+            outcomes
+        });
 
         // Deterministic merge: slot every outcome at its request index.
         let mut slots: Vec<Option<RequestOutcome>> = (0..n).map(|_| None).collect();

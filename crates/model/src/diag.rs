@@ -17,6 +17,7 @@
 //! validation failures) is an *error*.
 
 use std::fmt;
+use td_telemetry::json::{quote, Json};
 
 /// How serious a diagnostic is. Ordered: `Note < Warning < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -452,19 +453,19 @@ impl LintReport {
             out.push_str(&format!("\"code\": \"{}\", ", d.code.as_str()));
             out.push_str(&format!("\"severity\": \"{}\", ", d.severity));
             out.push_str(&format!(
-                "\"paper_section\": \"{}\", ",
-                json_escape(d.code.paper_section())
+                "\"paper_section\": {}, ",
+                quote(d.code.paper_section())
             ));
-            out.push_str(&format!("\"message\": \"{}\", ", json_escape(&d.message)));
+            out.push_str(&format!("\"message\": {}, ", quote(&d.message)));
             out.push_str("\"spans\": [");
             for (j, s) in d.spans.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
                 out.push_str(&format!(
-                    "{{\"kind\": \"{}\", \"name\": \"{}\"}}",
+                    "{{\"kind\": \"{}\", \"name\": {}}}",
                     s.kind.as_str(),
-                    json_escape(&s.name)
+                    quote(&s.name)
                 ));
             }
             out.push_str("]}");
@@ -502,10 +503,7 @@ impl LintReport {
         out.push_str("  \"version\": \"2.1.0\",\n");
         out.push_str("  \"runs\": [\n    {\n");
         out.push_str("      \"tool\": {\n        \"driver\": {\n");
-        out.push_str(&format!(
-            "          \"name\": \"{}\",\n",
-            json_escape(tool_name)
-        ));
+        out.push_str(&format!("          \"name\": {},\n", quote(tool_name)));
         out.push_str("          \"rules\": [");
         for (i, code) in rules.iter().enumerate() {
             if i > 0 {
@@ -513,13 +511,13 @@ impl LintReport {
             }
             out.push_str(&format!(
                 "\n            {{\"id\": \"{}\", \
-                 \"shortDescription\": {{\"text\": \"{}\"}}, \
+                 \"shortDescription\": {{\"text\": {}}}, \
                  \"defaultConfiguration\": {{\"level\": \"{}\"}}, \
-                 \"properties\": {{\"paperSection\": \"{}\"}}}}",
+                 \"properties\": {{\"paperSection\": {}}}}}",
                 code.as_str(),
-                json_escape(code.short_description()),
+                quote(code.short_description()),
                 code.default_severity(),
-                json_escape(code.paper_section())
+                quote(code.paper_section())
             ));
         }
         if !rules.is_empty() {
@@ -533,10 +531,10 @@ impl LintReport {
             }
             out.push_str(&format!(
                 "\n        {{\"ruleId\": \"{}\", \"level\": \"{}\", \
-                 \"message\": {{\"text\": \"{}\"}}, \"locations\": [",
+                 \"message\": {{\"text\": {}}}, \"locations\": [",
                 d.code.as_str(),
                 d.severity,
-                json_escape(&d.message)
+                quote(&d.message)
             ));
             if !d.spans.is_empty() {
                 out.push_str("{\"logicalLocations\": [");
@@ -545,9 +543,9 @@ impl LintReport {
                         out.push_str(", ");
                     }
                     out.push_str(&format!(
-                        "{{\"kind\": \"{}\", \"name\": \"{}\"}}",
+                        "{{\"kind\": \"{}\", \"name\": {}}}",
                         s.kind.as_str(),
-                        json_escape(&s.name)
+                        quote(&s.name)
                     ));
                 }
                 out.push_str("]}");
@@ -566,25 +564,25 @@ impl LintReport {
     /// the `TDL…` rule ids and logical locations). Unknown rule ids or
     /// malformed structure are errors, not silently dropped findings.
     pub fn from_sarif(text: &str) -> Result<LintReport, String> {
-        let doc = sarif_json::parse(text)?;
+        let doc = Json::parse(text)?;
         let runs = doc
             .get("runs")
-            .and_then(|r| r.as_arr())
+            .and_then(Json::as_arr)
             .ok_or("missing `runs` array")?;
         let mut diagnostics = Vec::new();
         for run in runs {
             let results = run
                 .get("results")
-                .and_then(|r| r.as_arr())
+                .and_then(Json::as_arr)
                 .ok_or("run missing `results` array")?;
             for res in results {
                 let rule_id = res
                     .get("ruleId")
-                    .and_then(|v| v.as_str())
+                    .and_then(Json::as_str)
                     .ok_or("result missing `ruleId`")?;
                 let code = LintCode::parse(rule_id)
                     .ok_or_else(|| format!("unknown rule id `{rule_id}`"))?;
-                let severity = match res.get("level").and_then(|v| v.as_str()) {
+                let severity = match res.get("level").and_then(Json::as_str) {
                     Some(level) => {
                         Severity::parse(level).ok_or_else(|| format!("unknown level `{level}`"))?
                     }
@@ -593,25 +591,25 @@ impl LintReport {
                 let message = res
                     .get("message")
                     .and_then(|m| m.get("text"))
-                    .and_then(|t| t.as_str())
+                    .and_then(Json::as_str)
                     .ok_or("result missing `message.text`")?
                     .to_string();
                 let mut spans = Vec::new();
-                if let Some(locations) = res.get("locations").and_then(|l| l.as_arr()) {
+                if let Some(locations) = res.get("locations").and_then(Json::as_arr) {
                     for loc in locations {
                         let logical = loc
                             .get("logicalLocations")
-                            .and_then(|l| l.as_arr())
+                            .and_then(Json::as_arr)
                             .ok_or("location missing `logicalLocations`")?;
                         for ll in logical {
                             let kind = ll
                                 .get("kind")
-                                .and_then(|k| k.as_str())
+                                .and_then(Json::as_str)
                                 .and_then(SpanKind::parse)
                                 .ok_or("logical location with unknown `kind`")?;
                             let name = ll
                                 .get("name")
-                                .and_then(|n| n.as_str())
+                                .and_then(Json::as_str)
                                 .ok_or("logical location missing `name`")?;
                             spans.push(Span {
                                 kind,
@@ -636,231 +634,6 @@ impl fmt::Display for LintReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.render_text().trim_end())
     }
-}
-
-/// Just enough JSON parsing for the SARIF importer. Hand-rolled for the
-/// same reason every other crate in the workspace hand-rolls its JSON
-/// (no crates registry in the build environment); td-server's parser
-/// can't be reused here because the dependency arrow points the other
-/// way.
-mod sarif_json {
-    /// A parsed JSON value, trimmed to what the importer reads.
-    pub(super) enum Value {
-        Null,
-        Bool(#[allow(dead_code)] bool),
-        Num(#[allow(dead_code)] f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub(super) fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub(super) fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub(super) fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    pub(super) fn parse(src: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-                self.pos += text.len();
-                Ok(value)
-            } else {
-                Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                _ => Err(format!("unexpected input at byte {}", self.pos)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut pairs = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(pairs));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                pairs.push((key, self.value()?));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                                let code =
-                                    u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                                out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                                self.pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.pos)),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                        let c = s.chars().next().ok_or("unterminated string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
-                self.pos += 1;
-            }
-            let text =
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
-        }
-    }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -35,10 +35,10 @@ use std::time::Instant;
 
 use td_core::{explain, project, Derivation, Engine, ProjectionOptions};
 use td_model::{parse_schema_lenient, AnalysisPrecision, AttrId, Schema, TypeId};
+use td_telemetry::json::{quote, str_array, Json};
 use td_telemetry::TraceId;
 
 use crate::http::Response;
-use crate::json::{quote, str_array, Json};
 use crate::registry::{Registry, SchemaEntry};
 use crate::watch::WatchHub;
 

@@ -211,7 +211,7 @@ impl Response {
             status,
             format!(
                 "{{\"error\": {}, \"status\": {status}}}\n",
-                crate::json::quote(message)
+                td_telemetry::json::quote(message)
             ),
         )
     }

@@ -57,7 +57,6 @@
 pub mod admission;
 pub mod api;
 pub mod http;
-pub mod json;
 pub mod registry;
 pub mod signal;
 pub mod watch;
@@ -67,6 +66,8 @@ pub use api::{derivation_json, tenant_of, Api, RequestCtx};
 pub use http::{http_call, http_request, HttpReply, Request, Response};
 pub use registry::{PutOutcome, Registry, SchemaEntry};
 pub use signal::{install_shutdown_handler, request_shutdown, shutdown_requested};
+// `perfbench/` reaches the JSON module through the server crate.
+pub use td_telemetry::json;
 pub use watch::{WatchHub, WatchView};
 
 use std::fs::File;
@@ -375,7 +376,7 @@ impl Server {
         let Some(w) = guard.as_mut() else {
             return;
         };
-        use crate::json::quote;
+        use td_telemetry::json::quote;
         let line = format!(
             "{{\"trace\": {}, \"tenant\": {}, \"endpoint\": {}, \"method\": {}, \
              \"path\": {}, \"status\": {status}, \"queue_us\": {}, \"exec_us\": {exec_us}, \

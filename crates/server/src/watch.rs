@@ -32,8 +32,8 @@ use std::sync::Mutex;
 
 use td_core::{compute_applicability, lint};
 use td_model::{CallArg, Schema};
+use td_telemetry::json::{quote, str_array};
 
-use crate::json::{quote, str_array};
 use crate::registry::PutOutcome;
 
 /// A subscriber's optional view: derivations are re-run for this

@@ -6,37 +6,13 @@
 //! (`"ph": "X"`) events. Timestamps are microseconds with three decimal
 //! places, which is nanosecond-exact, so [`parse_chrome_trace`] recovers
 //! the original `u64` nanosecond values and round-trip tests can compare
-//! spans field-for-field. The parser is a small hand-rolled JSON reader
-//! (same policy as `crates/bench/src/report.rs`): the container resolves
-//! no crates registry, so no serde.
+//! spans field-for-field.
 
+use crate::json::{quote, Json};
 use crate::metrics::MetricsSnapshot;
 use crate::span::{ArgValue, SpanEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Quotes `s` as a JSON string literal, escaping quotes, backslashes and
-/// control characters (schema-derived span names are attacker^W
-/// user-controlled: type names, request descriptions, file paths).
-pub(crate) fn json_quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Maps a registry metric name onto the Prometheus name grammar
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): path separators and anything else
@@ -105,12 +81,12 @@ fn write_args(out: &mut String, event: &SpanEvent) {
             out.push(',');
         }
         first = false;
-        let _ = write!(out, "{}:", json_quote(key));
+        let _ = write!(out, "{}:", quote(key));
         match value {
             ArgValue::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            ArgValue::Str(s) => out.push_str(&json_quote(s)),
+            ArgValue::Str(s) => out.push_str(&quote(s)),
         }
     }
     out.push('}');
@@ -127,8 +103,8 @@ pub fn chrome_trace(events: &[SpanEvent]) -> String {
         let _ = write!(
             out,
             "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":{},",
-            json_quote(&event.name),
-            json_quote(event.cat),
+            quote(&event.name),
+            quote(event.cat),
             event.start_ns / 1_000,
             event.start_ns % 1_000,
             event.dur_ns / 1_000,
@@ -160,208 +136,6 @@ pub struct TraceSpan {
     pub args: BTreeMap<String, String>,
 }
 
-// --- minimal JSON reader -------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(s: &'a str) -> Self {
-        Reader {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through intact: take
-                    // the whole next char from the source slice.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
 fn micros_to_ns(us: f64) -> u64 {
     (us * 1_000.0).round() as u64
 }
@@ -370,13 +144,13 @@ fn micros_to_ns(us: f64) -> u64 {
 /// `traceEvents` form [`chrome_trace`] writes, or a bare event array)
 /// back into spans. Non-complete events (`ph` ≠ `"X"`) are skipped.
 pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceSpan>, String> {
-    let doc = Reader::new(text).value()?;
+    let doc = Json::parse(text)?;
     let events = match &doc {
         Json::Arr(items) => items,
-        Json::Obj(_) => match doc.get("traceEvents") {
-            Some(Json::Arr(items)) => items,
-            _ => return Err("missing traceEvents array".to_string()),
-        },
+        Json::Obj(_) => doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .ok_or("missing traceEvents array")?,
         _ => return Err("trace is neither an object nor an array".to_string()),
     };
     let mut spans = Vec::new();
@@ -542,15 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn json_quote_escapes_hostile_names() {
-        assert_eq!(json_quote(r#"a"b"#), r#""a\"b""#);
-        assert_eq!(json_quote(r"a\b"), r#""a\\b""#);
-        assert_eq!(json_quote("a\nb\tc"), r#""a\nb\tc""#);
-        assert_eq!(json_quote("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_quote("éπ"), "\"éπ\"");
-    }
-
-    #[test]
     fn hostile_span_names_survive_the_round_trip() {
         for name in [
             "quote\"backslash\\newline\n",
@@ -569,6 +334,7 @@ mod tests {
         assert!(parse_chrome_trace("not json").is_err());
         assert!(parse_chrome_trace("{\"other\": 1}").is_err());
         assert!(parse_chrome_trace("{\"traceEvents\": [{\"ph\": \"X\"}]}").is_err());
+        assert!(parse_chrome_trace("{\"traceEvents\": []} junk").is_err());
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //!   JSON ([`MetricsSnapshot::render_json`]), and the Chrome trace-event
 //!   format ([`chrome_trace`]) loadable in Perfetto / `chrome://tracing`,
 //!   with a parser ([`parse_chrome_trace`]) for round-trip tests.
+//! * **[`json`]** — the workspace's one JSON value, parser and string
+//!   quoting, shared by every crate that reads or writes JSON (this
+//!   crate sits at the bottom of the dependency graph).
 //!
 //! Everything sits behind one runtime switch ([`set_enabled`]): when off
 //! (the default), [`span()`] costs a single relaxed atomic load — no clock
@@ -54,6 +57,7 @@
 #![forbid(unsafe_code)]
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod trace;
@@ -62,8 +66,8 @@ pub mod window;
 pub use export::{chrome_trace, parse_chrome_trace, render_prometheus, render_summary, TraceSpan};
 pub use metrics::{MetricsSnapshot, Reset};
 pub use span::{
-    drain, dropped_events_total, emit_span, events_for_trace, span, span_with_args, ArgValue,
-    SpanEvent, SpanGuard,
+    current_depth, depth_scope, drain, dropped_events_total, emit_span, events_for_trace, span,
+    span_with_args, ArgValue, DepthScope, SpanEvent, SpanGuard,
 };
 pub use trace::{current_trace, trace_scope, TraceId, TraceScope};
 pub use window::{WindowSummary, WindowedCounter, WindowedHistogram, WINDOW_SECONDS};

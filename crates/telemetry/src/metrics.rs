@@ -376,14 +376,14 @@ impl MetricsSnapshot {
         for (name, v) in &self.counters {
             let sep = if first { "" } else { "," };
             first = false;
-            let _ = write!(out, "{sep}\n    {}: {v}", crate::export::json_quote(name));
+            let _ = write!(out, "{sep}\n    {}: {v}", crate::json::quote(name));
         }
         out.push_str("\n  },\n  \"gauges\": {");
         let mut first = true;
         for (name, v) in &self.gauges {
             let sep = if first { "" } else { "," };
             first = false;
-            let _ = write!(out, "{sep}\n    {}: {v}", crate::export::json_quote(name));
+            let _ = write!(out, "{sep}\n    {}: {v}", crate::json::quote(name));
         }
         out.push_str("\n  },\n  \"histograms\": {");
         let mut first = true;
@@ -399,7 +399,7 @@ impl MetricsSnapshot {
             let _ = write!(
                 out,
                 "{sep}\n    {}: {{\"count\": {}, \"sum\": {}, \"buckets\": [{buckets}]}}",
-                crate::export::json_quote(name),
+                crate::json::quote(name),
                 h.count,
                 h.sum
             );

@@ -242,6 +242,36 @@ fn span_slow(
     }))
 }
 
+/// The calling thread's open-span depth: the depth a span opened here
+/// now would record.
+pub fn current_depth() -> u32 {
+    DEPTH.with(|d| d.get())
+}
+
+/// A thread's span stack entered at a caller's depth. Dropping it
+/// restores the thread's previous depth.
+#[must_use = "the entered depth lasts only as long as the guard"]
+pub struct DepthScope {
+    previous: u32,
+}
+
+/// Enters `depth` (a [`current_depth`] captured on another thread) as
+/// this thread's span depth until the returned guard drops. A worker
+/// thread fanned out from inside an open span enters the spawner's
+/// depth, so its spans record the depth they would have had on the
+/// spawning thread, whichever thread the scheduler picked.
+pub fn depth_scope(depth: u32) -> DepthScope {
+    DepthScope {
+        previous: DEPTH.with(|d| d.replace(depth)),
+    }
+}
+
+impl Drop for DepthScope {
+    fn drop(&mut self) {
+        DEPTH.with(|d| d.set(self.previous));
+    }
+}
+
 /// Collects and clears every thread's buffered events, sorted by
 /// `(start_ns, tid, seq)` — a deterministic merge of the per-thread
 /// rings. Also returns each dropped-event counter to zero.

@@ -20,6 +20,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use td_model::text::schema_to_text;
 use td_model::{AttrId, Schema, TypeId};
+use td_telemetry::json::{quote, str_array};
 
 use crate::gen::{batch_requests, deepest_type, random_projection};
 
@@ -130,13 +131,13 @@ fn body_for(
 ) -> String {
     let head = format!(
         "\"tenant\": {}, \"schema\": {}",
-        json_quote(tenant),
-        json_quote(schema_name)
+        quote(tenant),
+        quote(schema_name)
     );
     let view = format!(
         "\"type\": {}, \"attrs\": {}",
-        json_quote(schema.type_name(source)),
-        json_array(projection.iter().map(|&a| schema.attr_name(a)))
+        quote(schema.type_name(source)),
+        str_array(projection.iter().map(|&a| schema.attr_name(a)))
     );
     match endpoint {
         "explain" => {
@@ -150,7 +151,7 @@ fn body_for(
                 return format!("{{{head}, {view}}}");
             }
             let label = methods[rng.gen_range(0..methods.len())];
-            format!("{{{head}, {view}, \"method\": {}}}", json_quote(label))
+            format!("{{{head}, {view}, \"method\": {}}}", quote(label))
         }
         "batch" => {
             // A small nested batch around the deepest type keeps batch
@@ -169,33 +170,10 @@ fn body_for(
                     )
                 })
                 .collect();
-            format!("{{{head}, \"requests\": {}}}", json_quote(&lines))
+            format!("{{{head}, \"requests\": {}}}", quote(&lines))
         }
         _ => format!("{{{head}, {view}}}"),
     }
-}
-
-fn json_quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_array<'a>(items: impl Iterator<Item = &'a str>) -> String {
-    let inner = items.map(json_quote).collect::<Vec<_>>().join(", ");
-    format!("[{inner}]")
 }
 
 #[cfg(test)]

@@ -346,6 +346,32 @@ fn malformed_http_and_oversized_bodies_are_rejected() {
 }
 
 #[test]
+fn hostile_json_bodies_get_400_and_the_server_keeps_serving() {
+    // The default body cap, so both bodies are read in full and reach
+    // the JSON parser.
+    let (_server, addr, shutdown, runner) = start(ServerConfig::default());
+
+    // 64 KiB of `[`: the parser's depth bound answers 400 instead of
+    // recursing until the worker's stack overflows.
+    let deep = "[".repeat(64 << 10);
+    let (status, body) = http_call(&addr, "POST", "/v1/project", Some(deep.as_bytes())).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than 128"), "{body}");
+
+    // One 1 MiB string field decodes in one pass, then fails on its
+    // unknown field name.
+    let long = format!("{{\"pad\": \"{}\"}}", "x".repeat(1 << 20));
+    let (status, body) = http_call(&addr, "POST", "/v1/project", Some(long.as_bytes())).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("unknown field `pad`"), "{body}");
+
+    let (status, body) = http_call(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+
+    stop(&shutdown, runner);
+}
+
+#[test]
 fn shutdown_drains_in_flight_requests() {
     let (_server, addr, shutdown, runner) = start(ServerConfig::default());
     put_schema(&addr, "t", "s", SCHEMA_A);
