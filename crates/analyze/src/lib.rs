@@ -100,8 +100,8 @@ pub struct AnalysisOutcome {
 ///
 /// Precision affects only the *sharpness* of TDL2xx findings (via the
 /// call edges the framework iterates): it never changes an applicability
-/// verdict, a lint report or an explain report (the three-engine
-/// differential suite in `td-workload` proves this byte-for-byte).
+/// verdict, a lint report or an explain report (the precision suite in
+/// `tests/property_analysis.rs` proves this byte-for-byte).
 pub fn analyze(
     schema: &Schema,
     request: Option<(TypeId, &BTreeSet<AttrId>)>,

@@ -42,7 +42,7 @@ use td_baselines::{
     audit_all, DerivationStrategy, LocalEdgeStrategy, PaperStrategy, RootPlacementStrategy,
     StandaloneStrategy,
 };
-use td_core::{explain, project, Engine, ProjectionOptions};
+use td_core::{explain, project, ProjectionOptions};
 use td_driver::BatchDeriver;
 use td_model::{parse_schema, parse_schema_lenient, AnalysisPrecision, AttrId, Schema, TypeId};
 use td_store::{parse_objects, Database, Value};
@@ -79,14 +79,14 @@ USAGE:
   tdv check      <schema.td>
   tdv show       <schema.td>
   tdv dot        <schema.td>
-  tdv applicable <schema.td> <Type> <attr,attr,…> [--engine E]
-  tdv project    <schema.td> <Type> <attr,attr,…> [--engine E] [--json]
+  tdv applicable <schema.td> <Type> <attr,attr,…>
+  tdv project    <schema.td> <Type> <attr,attr,…> [--json] [--snapshot]
   tdv lint       <schema.td> [<Type> <attr,attr,…>] [--json] [--sarif]
                  [--deny warnings]
   tdv analyze    <schema.td> [<Type> <attr,attr,…>] [--json] [--sarif]
                  [--precision syntactic|semantic] [--deny warnings]
-  tdv batch      <schema.td> <requests.txt> [threads] [--engine E]
-  tdv stats      <schema.td> <Type> <attr,attr,…> [--engine E]
+  tdv batch      <schema.td> <requests.txt> [threads]
+  tdv stats      <schema.td> <Type> <attr,attr,…>
   tdv explain    <schema.td> <Type> <attr,attr,…> <method-label>
   tdv audit      <schema.td> <Type> <attr,attr,…>
   tdv extent     <schema.td> <data.td> <Type>
@@ -110,10 +110,10 @@ call arguments: object names from the data file, or literals
 batch request files hold one `Type: attr,attr,…` projection per line
 (# starts a comment); threads defaults to the machine's cores.
 
-`applicable`, `project` and `batch` accept --engine {indexed,stack,fixpoint}
-to pick the IsApplicable implementation (default: indexed, the
-condensation-index engine; stack is the paper's §4.1 algorithm; fixpoint
-is the reference oracle). All three classify identically.
+`applicable`, `project`, `batch` and `stats` classify methods with the
+condensation index, falling back to the paper's §4.1 stack algorithm
+for the calls the index cannot decide. Every command rejects a flag it
+does not take.
 
 `lint` runs the TDL static checks (dispatch ambiguity, precedence
 conflicts, optimistic-cycle audit, projection safety, Augment hazards)
@@ -128,8 +128,8 @@ shadowed-unreachable methods, TDL204 dead projected attributes, TDL205
 interprocedural Augment flow) over the whole schema, plus the
 projection-scoped checks when a view is supplied. --precision semantic
 additionally refines the applicability index with semantic attribute
-footprints — strictly fewer fallback methods, identical verdicts.
---json/--sarif/--deny work as for `lint`.
+footprints — strictly fewer fallback methods, identical verdicts, and
+possibly more TDL203 findings. --json/--sarif/--deny work as for `lint`.
 
 Every command accepts --trace <file> (write a Chrome trace-event JSON of
 the run — load it at https://ui.perfetto.dev) and --metrics (append the
@@ -371,28 +371,6 @@ fn top_frame(addr: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Strips a `--engine=NAME` / `--engine NAME` flag out of `args`,
-/// returning the remaining positional arguments and the chosen engine
-/// (default: [`Engine::Indexed`]).
-fn extract_engine(args: &[String]) -> Result<(Vec<String>, Engine), CliError> {
-    let mut engine = Engine::default();
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--engine=") {
-            engine = name.parse().map_err(fail)?;
-        } else if a == "--engine" {
-            let name = it
-                .next()
-                .ok_or_else(|| fail("--engine: missing value (indexed, stack or fixpoint)"))?;
-            engine = name.parse().map_err(fail)?;
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((rest, engine))
-}
-
 /// Strips `--json` and `--deny warnings` / `--deny=warnings` out of
 /// `args` for the `lint` command, returning the remaining positional
 /// arguments and the two switches.
@@ -458,6 +436,16 @@ fn extract_telemetry_flags(args: &[String]) -> Result<(Vec<String>, TelemetryFla
     Ok((rest, flags))
 }
 
+/// Fails with `<command>: unknown flag <flag>` on the first `--` argument
+/// left in `args`. Each command calls it after taking its own flags, so
+/// a typo never passes as a positional argument or goes unnoticed.
+fn reject_flags(command: &str, args: &[String]) -> Result<(), CliError> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(fail(format!("{command}: unknown flag {flag}"))),
+        None => Ok(()),
+    }
+}
+
 /// Strips a boolean `name` switch out of `args`, reporting whether it
 /// was present.
 fn extract_switch(args: &[String], name: &str) -> (Vec<String>, bool) {
@@ -515,21 +503,20 @@ fn deny_lint_level(level: &str) -> Result<(), CliError> {
 /// Runs one command. `args` excludes the program name. Returns the text
 /// to print on success.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let (args, engine) = extract_engine(args)?;
-    let (args, mut telemetry) = extract_telemetry_flags(&args)?;
+    let (args, mut telemetry) = extract_telemetry_flags(args)?;
     // `stats` IS the metrics exporter, so it forces collection on.
     if args.first().is_some_and(|c| c == "stats") {
         telemetry.metrics = true;
     }
     if !telemetry.active() {
-        return run_command(&args, engine);
+        return run_command(&args);
     }
     // Collect from a clean slate, and always restore the disabled default
     // — even when the command fails.
     td_telemetry::set_enabled(true);
     let _ = td_telemetry::drain();
     td_telemetry::metrics::reset();
-    let result = run_command(&args, engine);
+    let result = run_command(&args);
     td_telemetry::set_enabled(false);
     let events = td_telemetry::drain();
     // Ring overflow is silent at collection time; surface it so a
@@ -555,12 +542,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
+fn run_command(args: &[String]) -> Result<String, CliError> {
     let Some(command) = args.first() else {
         return Err(fail(USAGE));
     };
     match command.as_str() {
         "check" => {
+            reject_flags("check", args)?;
             let schema = load(args.get(1))?;
             let mut out = String::new();
             let _ = writeln!(out, "schema OK");
@@ -568,6 +556,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             Ok(out)
         }
         "show" => {
+            reject_flags("show", args)?;
             let schema = load(args.get(1))?;
             let mut out = String::new();
             let _ = writeln!(out, "{}", schema.render_hierarchy());
@@ -576,24 +565,16 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             Ok(out)
         }
         "dot" => {
+            reject_flags("dot", args)?;
             let schema = load(args.get(1))?;
             Ok(schema.render_dot())
         }
         "applicable" => {
+            reject_flags("applicable", args)?;
             let schema = load(args.get(1))?;
             let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
-            let r = match engine {
-                Engine::Indexed => {
-                    td_core::compute_applicability_indexed(&schema, source, &projection, false)
-                }
-                Engine::Stack => {
-                    td_core::compute_applicability(&schema, source, &projection, false)
-                }
-                Engine::Fixpoint => {
-                    td_core::compute_applicability_fixpoint(&schema, source, &projection)
-                }
-            }
-            .map_err(|e| fail(e.to_string()))?;
+            let r = td_core::compute_applicability_indexed(&schema, source, &projection, false)
+                .map_err(|e| fail(e.to_string()))?;
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -618,18 +599,20 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
         "project" => {
             let (args, json) = extract_switch(args, "--json");
             let (args, from_snapshot) = extract_switch(&args, "--snapshot");
+            reject_flags("project", &args)?;
             let mut schema = if from_snapshot {
                 load_snapshot_file(args.get(1))?.0
             } else {
                 load(args.get(1))?
             };
             let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
-            let opts = ProjectionOptions {
-                engine,
-                ..ProjectionOptions::default()
-            };
-            let d = project(&mut schema, source, &projection, &opts)
-                .map_err(|e| fail(e.to_string()))?;
+            let d = project(
+                &mut schema,
+                source,
+                &projection,
+                &ProjectionOptions::default(),
+            )
+            .map_err(|e| fail(e.to_string()))?;
             schema.dispatch_cache_stats().publish();
             if json {
                 // The canonical machine-readable record — the same
@@ -653,6 +636,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
         "lint" => {
             let (args, sarif) = extract_switch(args, "--sarif");
             let (args, json, deny_warnings) = extract_lint_flags(&args)?;
+            reject_flags("lint", &args)?;
             let path = args
                 .get(1)
                 .ok_or_else(|| fail("missing schema file argument"))?;
@@ -689,6 +673,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             let (args, sarif) = extract_switch(args, "--sarif");
             let (args, precision) = extract_precision_flag(&args)?;
             let (args, json, deny_warnings) = extract_lint_flags(&args)?;
+            reject_flags("analyze", &args)?;
             let path = args
                 .get(1)
                 .ok_or_else(|| fail("missing schema file argument"))?;
@@ -745,6 +730,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             }
         }
         "batch" => {
+            reject_flags("batch", args)?;
             let schema = load(args.get(1))?;
             let path = args
                 .get(2)
@@ -760,12 +746,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
                 .map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
             let requests = td_driver::parse_requests(&schema, &src)
                 .map_err(|e| fail(format!("{path}: {e}")))?;
-            let mut deriver = BatchDeriver::new(&schema)
-                .options(ProjectionOptions {
-                    engine,
-                    ..ProjectionOptions::default()
-                })
-                .lint(true);
+            let mut deriver = BatchDeriver::new(&schema).lint(true);
             if let Some(threads) = threads {
                 deriver = deriver.threads(threads);
             }
@@ -783,14 +764,16 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             }
         }
         "stats" => {
+            reject_flags("stats", args)?;
             let mut schema = load(args.get(1))?;
             let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
-            let opts = ProjectionOptions {
-                engine,
-                ..ProjectionOptions::default()
-            };
-            let d = project(&mut schema, source, &projection, &opts)
-                .map_err(|e| fail(e.to_string()))?;
+            let d = project(
+                &mut schema,
+                source,
+                &projection,
+                &ProjectionOptions::default(),
+            )
+            .map_err(|e| fail(e.to_string()))?;
             schema.dispatch_cache_stats().publish();
             Ok(format!(
                 "derived {} — telemetry for one derivation:\n",
@@ -798,6 +781,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             ))
         }
         "explain" => {
+            reject_flags("explain", args)?;
             let schema = load(args.get(1))?;
             let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
             let label = args
@@ -1029,6 +1013,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             }
         }
         "trace-verify" => {
+            reject_flags("trace-verify", args)?;
             let path = args
                 .get(1)
                 .ok_or_else(|| fail("trace-verify: missing trace file"))?;
@@ -1104,6 +1089,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             watch_stream(&addr, &query, max_events)
         }
         "audit" => {
+            reject_flags("audit", args)?;
             let schema = load(args.get(1))?;
             let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
             let strategies: Vec<&dyn DerivationStrategy> = vec![
@@ -1119,6 +1105,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             Ok(out)
         }
         "extent" => {
+            reject_flags("extent", args)?;
             let (db, names) = load_db(args.get(1), args.get(2))?;
             let ty = args.get(3).ok_or_else(|| fail("missing type argument"))?;
             let ty = db.schema().type_id(ty).map_err(|e| fail(e.to_string()))?;
@@ -1146,6 +1133,7 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             Ok(out)
         }
         "call" => {
+            reject_flags("call", args)?;
             let (mut db, names) = load_db(args.get(1), args.get(2))?;
             let gf_name = args
                 .get(3)
@@ -1163,84 +1151,87 @@ fn run_command(args: &[String], engine: Engine) -> Result<String, CliError> {
             let result = db.call(gf, &values).map_err(|e| fail(e.to_string()))?;
             Ok(format!("{result}\n"))
         }
-        "snapshot" => match args.get(1).map(String::as_str) {
-            Some("save") => {
-                let path = args
-                    .get(2)
-                    .ok_or_else(|| fail("snapshot save: missing schema file argument"))?;
-                let out_path = args
-                    .get(3)
-                    .ok_or_else(|| fail("snapshot save: missing output file argument"))?;
-                let schema = load(Some(path))?;
-                // Warm every derivation cache first: the point of a
-                // snapshot is that loading it skips both the parse and
-                // the derivation warm-up.
-                schema.warm_caches();
-                let meta = [("source".to_string(), path.clone())];
-                td_model::write_snapshot_file(&schema, &meta, out_path)
-                    .map_err(|e| fail(e.to_string()))?;
-                let bytes = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
-                Ok(format!(
-                    "wrote {out_path}: {bytes} bytes, format v{}, {} types, {} methods\n",
-                    td_model::SNAPSHOT_VERSION,
-                    schema.n_types(),
-                    schema.n_methods()
-                ))
-            }
-            Some("load") => {
-                let (schema, _) = load_snapshot_file(args.get(2))?;
-                let stats = schema.dispatch_cache_stats();
-                let mut out = String::new();
-                let _ = writeln!(out, "snapshot OK");
-                let _ = writeln!(out, "{}", schema.stats());
-                let _ = writeln!(
-                    out,
-                    "warm caches: {} cpl/rank entries, {} dispatch entries, {} indexes",
-                    stats.cpl_entries, stats.dispatch_entries, stats.index_entries
-                );
-                Ok(out)
-            }
-            Some("inspect") => {
-                let path = args
-                    .get(2)
-                    .ok_or_else(|| fail("snapshot inspect: missing snapshot file argument"))?;
-                let bytes =
-                    std::fs::read(path).map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
-                let info = td_model::snapshot_info(&bytes).map_err(|e| fail(e.to_string()))?;
-                let mut out = String::new();
-                let _ = writeln!(
-                    out,
-                    "{path}: format v{}, {} bytes",
-                    info.version, info.file_bytes
-                );
-                for (key, value) in &info.meta {
-                    let _ = writeln!(out, "  meta {key} = {value:?}");
+        "snapshot" => {
+            reject_flags("snapshot", args)?;
+            match args.get(1).map(String::as_str) {
+                Some("save") => {
+                    let path = args
+                        .get(2)
+                        .ok_or_else(|| fail("snapshot save: missing schema file argument"))?;
+                    let out_path = args
+                        .get(3)
+                        .ok_or_else(|| fail("snapshot save: missing output file argument"))?;
+                    let schema = load(Some(path))?;
+                    // Warm every derivation cache first: the point of a
+                    // snapshot is that loading it skips both the parse and
+                    // the derivation warm-up.
+                    schema.warm_caches();
+                    let meta = [("source".to_string(), path.clone())];
+                    td_model::write_snapshot_file(&schema, &meta, out_path)
+                        .map_err(|e| fail(e.to_string()))?;
+                    let bytes = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
+                    Ok(format!(
+                        "wrote {out_path}: {bytes} bytes, format v{}, {} types, {} methods\n",
+                        td_model::SNAPSHOT_VERSION,
+                        schema.n_types(),
+                        schema.n_methods()
+                    ))
                 }
-                for (name, len, checksum) in &info.sections {
+                Some("load") => {
+                    let (schema, _) = load_snapshot_file(args.get(2))?;
+                    let stats = schema.dispatch_cache_stats();
+                    let mut out = String::new();
+                    let _ = writeln!(out, "snapshot OK");
+                    let _ = writeln!(out, "{}", schema.stats());
                     let _ = writeln!(
                         out,
-                        "  section {name:<9} {len:>9} bytes  fnv1a {checksum:016x}"
+                        "warm caches: {} cpl/rank entries, {} dispatch entries, {} indexes",
+                        stats.cpl_entries, stats.dispatch_entries, stats.index_entries
                     );
+                    Ok(out)
                 }
-                let _ = writeln!(
-                    out,
-                    "  {} names, {} types, {} attrs, {} gfs, {} methods",
-                    info.n_names, info.n_types, info.n_attrs, info.n_gfs, info.n_methods
-                );
-                let _ = writeln!(
-                    out,
-                    "  warm: {} cpl/rank entries, {} dispatch entries, {} indexes",
-                    info.cpl_entries, info.dispatch_entries, info.index_entries
-                );
-                Ok(out)
-            }
-            _ => Err(fail(
-                "snapshot: expected a subcommand\n\n\
+                Some("inspect") => {
+                    let path = args
+                        .get(2)
+                        .ok_or_else(|| fail("snapshot inspect: missing snapshot file argument"))?;
+                    let bytes = std::fs::read(path)
+                        .map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
+                    let info = td_model::snapshot_info(&bytes).map_err(|e| fail(e.to_string()))?;
+                    let mut out = String::new();
+                    let _ = writeln!(
+                        out,
+                        "{path}: format v{}, {} bytes",
+                        info.version, info.file_bytes
+                    );
+                    for (key, value) in &info.meta {
+                        let _ = writeln!(out, "  meta {key} = {value:?}");
+                    }
+                    for (name, len, checksum) in &info.sections {
+                        let _ = writeln!(
+                            out,
+                            "  section {name:<9} {len:>9} bytes  fnv1a {checksum:016x}"
+                        );
+                    }
+                    let _ = writeln!(
+                        out,
+                        "  {} names, {} types, {} attrs, {} gfs, {} methods",
+                        info.n_names, info.n_types, info.n_attrs, info.n_gfs, info.n_methods
+                    );
+                    let _ = writeln!(
+                        out,
+                        "  warm: {} cpl/rank entries, {} dispatch entries, {} indexes",
+                        info.cpl_entries, info.dispatch_entries, info.index_entries
+                    );
+                    Ok(out)
+                }
+                _ => Err(fail(
+                    "snapshot: expected a subcommand\n\n\
                  USAGE:\n  tdv snapshot save    <schema.td> <out.tds>\n  \
                  tdv snapshot load    <file.tds>\n  \
                  tdv snapshot inspect <file.tds>",
-            )),
-        },
+                )),
+            }
+        }
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(fail(format!("unknown command `{other}`\n\n{USAGE}"))),
     }
@@ -1750,62 +1741,60 @@ mod tests {
     #[test]
     fn help_prints_usage() {
         assert!(run_ok(&["help"]).contains("USAGE"));
-        assert!(run_ok(&["help"]).contains("--engine"));
     }
 
     #[test]
-    fn engine_flag_selects_the_engine() {
-        let f = fixture("engine", FIG1);
+    fn every_command_rejects_unknown_flags() {
+        let f = fixture("flags", FIG3);
         let path = f.to_str().unwrap();
-        // All three engines classify identically; the flag parses in both
-        // `--engine X` and `--engine=X` spellings, anywhere in the line.
-        let default_out = run_ok(&["applicable", path, "Employee", "SSN,pay_rate"]);
-        for flagged in [
-            vec![
-                "applicable",
-                path,
-                "Employee",
-                "SSN,pay_rate",
+        let r = fixture("flags_b", "A: a2\n");
+        let reqs = r.to_str().unwrap();
+        // A flag a command does not take exits 1 naming the command and
+        // the flag, wherever it sits in the line; `--engine` included.
+        for (line, flag) in [
+            (vec!["project", path, "A", "a2,e2,h2", "--jsno"], "--jsno"),
+            (
+                vec!["applicable", path, "A", "a2,e2,h2", "--json"],
+                "--json",
+            ),
+            (
+                vec![
+                    "explain", path, "A", "a2,e2,h2", "u3", "--engine", "fixpoint",
+                ],
                 "--engine",
-                "indexed",
-            ],
-            vec![
-                "applicable",
-                path,
-                "Employee",
-                "SSN,pay_rate",
+            ),
+            (
+                vec!["lint", path, "--engine", "stack", "--sarif-typo"],
+                "--engine",
+            ),
+            (
+                vec!["applicable", path, "A", "a2", "--engine", "stack"],
+                "--engine",
+            ),
+            (
+                vec!["project", "--engine=stack", path, "A", "a2"],
                 "--engine=stack",
-            ],
-            vec![
-                "--engine",
-                "fixpoint",
-                "applicable",
-                path,
-                "Employee",
-                "SSN,pay_rate",
-            ],
+            ),
+            (vec!["batch", path, reqs, "--engine", "stack"], "--engine"),
+            (
+                vec!["stats", path, "A", "a2", "--engine=indexed"],
+                "--engine=indexed",
+            ),
+            (
+                vec!["analyze", path, "--precision", "semantic", "--jsn"],
+                "--jsn",
+            ),
+            (vec!["check", path, "--strict"], "--strict"),
+            (vec!["snapshot", "inspect", path, "--all"], "--all"),
         ] {
-            assert_eq!(run_ok(&flagged), default_out, "{flagged:?}");
+            let e = run_err(&line);
+            assert_eq!(e.code, 1, "{line:?}");
+            assert_eq!(e.message, format!("{}: unknown flag {flag}", line[0]));
         }
-        // project and batch accept it too.
-        let out = run_ok(&[
-            "project",
-            path,
-            "Employee",
-            "SSN,pay_rate",
-            "--engine=stack",
-        ]);
-        assert!(out.contains("derived ^Employee"));
-        let r = fixture("engine_b", "Employee: SSN\n");
-        let out = run_ok(&["batch", path, r.to_str().unwrap(), "--engine=fixpoint"]);
-        assert!(out.contains("1 requests, 1 ok"), "{out}");
         // `batch` lints every request; the stats block reports the counts.
+        let out = run_ok(&["batch", path, reqs]);
+        assert!(out.contains("1 requests, 1 ok"), "{out}");
         assert!(out.contains("lint:"), "{out}");
-        // Unknown engines fail with a parse error, not a panic.
-        let e = run_err(&["applicable", path, "Employee", "SSN", "--engine=warp"]);
-        assert!(e.message.contains("unknown engine"), "{}", e.message);
-        let e = run_err(&["applicable", path, "Employee", "SSN", "--engine"]);
-        assert!(e.message.contains("missing value"), "{}", e.message);
     }
 
     /// The shipped Figure 3 schema (with Example 4's `z1`), reused so the

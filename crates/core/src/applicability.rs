@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use td_model::dataflow::CallSite;
-use td_model::{AnalysisPrecision, AttrId, CallArg, GfId, MethodId, Schema, TypeId};
+use td_model::{AttrId, CallArg, GfId, MethodId, Schema, TypeId};
 
 use crate::error::{CoreError, Result};
 
@@ -106,30 +106,29 @@ pub struct Applicability {
     /// Every method applicable to the source type — the universe the
     /// computation classifies.
     pub universe: Vec<MethodId>,
-    /// Methods that remain applicable to the derived type, in
-    /// classification order.
+    /// Methods that remain applicable to the derived type, in universe
+    /// order.
     pub applicable: Vec<MethodId>,
     /// The same methods as `applicable`, as a set — this is what answers
     /// [`Applicability::is_applicable`] in O(1) instead of scanning the
-    /// classification-order list.
+    /// list.
     pub applicable_set: HashSet<MethodId>,
-    /// Methods ruled out, in classification order.
+    /// Methods ruled out, in universe order.
     pub not_applicable: Vec<MethodId>,
     /// Trace of the computation (empty unless requested).
     pub trace: Vec<TraceEvent>,
-    /// Number of driver passes needed to classify every method.
-    pub passes: usize,
 }
 
 impl Applicability {
     /// True iff `m` was classified applicable. O(1) — answered from
-    /// `applicable_set`, not the classification-order list.
+    /// `applicable_set`, not the list.
     pub fn is_applicable(&self, m: MethodId) -> bool {
         self.applicable_set.contains(&m)
     }
 }
 
-/// Computes which methods remain applicable to `Π_projection(source)`.
+/// Computes which methods remain applicable to `Π_projection(source)`
+/// with the paper's stack algorithm alone.
 ///
 /// `record_trace` enables the event log (used by the reproduction harness;
 /// adds allocation cost, so benches leave it off).
@@ -140,32 +139,9 @@ pub fn compute_applicability(
     record_trace: bool,
 ) -> Result<Applicability> {
     let universe = schema.methods_applicable_to_type(source);
-    let mut ctx = Ctx {
-        schema,
-        source,
-        projection,
-        applicable: Vec::new(),
-        applicable_set: HashSet::new(),
-        not_applicable: Vec::new(),
-        not_applicable_set: HashSet::new(),
-        stack: Vec::new(),
-        sites_cache: HashMap::new(),
-        scratch: Vec::new(),
-        top_level_start: 0,
-        trace: Vec::new(),
-        record_trace,
-    };
-    let passes = drive(&mut ctx, &universe)?;
-    Ok(Applicability {
-        source,
-        projection: projection.clone(),
-        universe,
-        applicable: ctx.applicable,
-        applicable_set: ctx.applicable_set,
-        not_applicable: ctx.not_applicable,
-        trace: ctx.trace,
-        passes,
-    })
+    let mut ctx = Ctx::new(schema, source, projection, record_trace);
+    drive(&mut ctx, &universe)?;
+    Ok(ctx.finish(universe))
 }
 
 /// Computes which methods remain applicable to `Π_projection(source)`
@@ -189,103 +165,30 @@ pub fn compute_applicability_indexed(
     projection: &BTreeSet<AttrId>,
     record_trace: bool,
 ) -> Result<Applicability> {
-    compute_applicability_indexed_at(
-        schema,
-        source,
-        projection,
-        AnalysisPrecision::Syntactic,
-        record_trace,
-    )
-}
-
-/// [`compute_applicability_indexed`] with an explicit index precision.
-///
-/// `Semantic` consults the refined index (`td-analyze`'s interprocedural
-/// footprints demote fallback methods to conjunctive verdicts), shrinking
-/// the residue the pass-based fallback must classify. The refinement is
-/// verdict-preserving (see `td_model::appindex::build_with`), so the
-/// classification — and every report derived from it — is byte-identical
-/// across precisions; only the fallback workload changes.
-pub fn compute_applicability_indexed_at(
-    schema: &Schema,
-    source: TypeId,
-    projection: &BTreeSet<AttrId>,
-    precision: AnalysisPrecision,
-    record_trace: bool,
-) -> Result<Applicability> {
     if record_trace {
         return compute_applicability(schema, source, projection, true);
     }
-    let index = schema.cached_applicability_index_at(source, precision)?;
+    let index = schema.cached_applicability_index(source)?;
     let proj_bits = index.projection_bits(projection);
     let universe = index.universe().to_vec();
 
-    let mut applicable = Vec::new();
-    let mut applicable_set = HashSet::new();
-    let mut not_applicable = Vec::new();
-    let mut not_applicable_set = HashSet::new();
+    let mut ctx = Ctx::new(schema, source, projection, false);
     let mut pending: Vec<MethodId> = Vec::new();
     for &m in &universe {
         match index.verdict(m, &proj_bits) {
-            Some(true) => {
-                applicable_set.insert(m);
-                applicable.push(m);
-            }
-            Some(false) => {
-                not_applicable_set.insert(m);
-                not_applicable.push(m);
-            }
+            Some(true) => ctx.mark_applicable(m),
+            Some(false) => ctx.mark_not_applicable(m),
             None => pending.push(m),
         }
     }
-
-    let mut passes = 1usize;
-    if !pending.is_empty() {
-        // Fallback: run the pass-based engine over the undecided residue,
-        // with every indexed verdict pre-seeded. Seeding is sound because
-        // indexed verdicts are exact (inside the greatest fixpoint), and
-        // safe against retraction: seeded `applicable` entries sit below
-        // `top_level_start` when the first fallback test begins, so a
-        // failed optimistic assumption can never split them off.
-        let mut ctx = Ctx {
-            schema,
-            source,
-            projection,
-            applicable,
-            applicable_set,
-            not_applicable,
-            not_applicable_set,
-            stack: Vec::new(),
-            sites_cache: HashMap::new(),
-            scratch: Vec::new(),
-            top_level_start: 0,
-            trace: Vec::new(),
-            record_trace: false,
-        };
-        passes = drive(&mut ctx, &pending)?;
-        applicable = ctx.applicable;
-        applicable_set = ctx.applicable_set;
-        not_applicable = ctx.not_applicable;
-        // The fallback appends its verdicts after the indexed ones, and
-        // the indexed/fallback split depends on the index precision —
-        // re-emit both lists in universe order so the classification
-        // bytes are identical at every precision.
-        let pos: HashMap<MethodId, usize> =
-            universe.iter().enumerate().map(|(i, &m)| (m, i)).collect();
-        applicable.sort_by_key(|m| pos.get(m).copied().unwrap_or(usize::MAX));
-        not_applicable.sort_by_key(|m| pos.get(m).copied().unwrap_or(usize::MAX));
-    }
-
-    Ok(Applicability {
-        source,
-        projection: projection.clone(),
-        universe,
-        applicable,
-        applicable_set,
-        not_applicable,
-        trace: Vec::new(),
-        passes,
-    })
+    // Fallback: run the pass-based engine over the undecided residue,
+    // with every indexed verdict pre-seeded. Seeding is sound because
+    // indexed verdicts are exact (inside the greatest fixpoint), and safe
+    // against retraction: seeded `applicable` entries sit below
+    // `top_level_start` when the first fallback test begins, so a failed
+    // optimistic assumption can never split them off.
+    drive(&mut ctx, &pending)?;
+    Ok(ctx.finish(universe))
 }
 
 /// The outer pass loop shared by [`compute_applicability`] (worklist =
@@ -293,8 +196,7 @@ pub fn compute_applicability_indexed_at(
 /// undecided residue): re-test unclassified worklist methods until all are
 /// classified, with a non-convergence guard — retraction strictly shrinks
 /// the optimistic set, so `worklist.len() + 2` passes always suffice.
-/// Returns the number of passes taken.
-fn drive(ctx: &mut Ctx<'_>, worklist: &[MethodId]) -> Result<usize> {
+fn drive(ctx: &mut Ctx<'_>, worklist: &[MethodId]) -> Result<()> {
     let mut passes = 0usize;
     loop {
         passes += 1;
@@ -319,7 +221,7 @@ fn drive(ctx: &mut Ctx<'_>, worklist: &[MethodId]) -> Result<usize> {
         }
         let all_done = worklist.iter().all(|&m| ctx.is_classified(m));
         if all_done {
-            return Ok(passes);
+            return Ok(());
         }
         if !any_unknown {
             // Defensive: everything was classified at loop entry yet
@@ -369,7 +271,50 @@ struct Ctx<'a> {
     record_trace: bool,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    fn new(
+        schema: &'a Schema,
+        source: TypeId,
+        projection: &'a BTreeSet<AttrId>,
+        record_trace: bool,
+    ) -> Self {
+        Ctx {
+            schema,
+            source,
+            projection,
+            applicable: Vec::new(),
+            applicable_set: HashSet::new(),
+            not_applicable: Vec::new(),
+            not_applicable_set: HashSet::new(),
+            stack: Vec::new(),
+            sites_cache: HashMap::new(),
+            scratch: Vec::new(),
+            top_level_start: 0,
+            trace: Vec::new(),
+            record_trace,
+        }
+    }
+
+    /// Packages the classification with both verdict lists in universe
+    /// order. The stack algorithm lists verdicts in discovery order and
+    /// the indexed engine appends its fallback verdicts last; sorting here
+    /// keeps every report's bytes independent of the path that ran.
+    fn finish(mut self, universe: Vec<MethodId>) -> Applicability {
+        // The universe is in method-id order, so universe order is id order.
+        debug_assert!(universe.windows(2).all(|w| w[0] < w[1]));
+        self.applicable.sort_unstable();
+        self.not_applicable.sort_unstable();
+        Applicability {
+            source: self.source,
+            projection: self.projection.clone(),
+            universe,
+            applicable: self.applicable,
+            applicable_set: self.applicable_set,
+            not_applicable: self.not_applicable,
+            trace: self.trace,
+        }
+    }
+
     fn is_classified(&self, m: MethodId) -> bool {
         self.applicable_set.contains(&m) || self.not_applicable_set.contains(&m)
     }

@@ -72,8 +72,7 @@ pub mod surrogates;
 pub mod unproject;
 
 pub use applicability::{
-    compute_applicability, compute_applicability_indexed, compute_applicability_indexed_at,
-    Applicability, TraceEvent,
+    compute_applicability, compute_applicability_indexed, Applicability, TraceEvent,
 };
 pub use catalog::{CatalogEntry, ViewCatalog};
 pub use error::{CoreError, Result};
@@ -81,7 +80,7 @@ pub use explain::{explain, Explanation};
 pub use invariants::{InvariantReport, Violation};
 pub use lint::{lint, optimistic_cycle_ring};
 pub use minimize::{minimize_surrogates, MinimizeOutcome};
-pub use oracle::{applicability_fixpoint, compute_applicability_fixpoint};
-pub use projection::{project, project_named, Derivation, Engine, ProjectionOptions, StageTimings};
+pub use oracle::applicability_fixpoint;
+pub use projection::{project, project_named, Derivation, ProjectionOptions, StageTimings};
 pub use surrogates::{SurrogateKind, SurrogateRegistry};
 pub use unproject::unproject;

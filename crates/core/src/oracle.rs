@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 use td_model::{AttrId, CallArg, MethodId, Schema, TypeId};
 
-use crate::applicability::{call_candidates, Applicability};
+use crate::applicability::call_candidates;
 use crate::error::Result;
 
 /// Computes the applicable-method set for `Π_projection(source)` by
@@ -70,39 +70,6 @@ pub fn applicability_fixpoint(
             return Ok(alive);
         }
     }
-}
-
-/// [`applicability_fixpoint`] packaged as an [`Applicability`] record, so
-/// the oracle can serve as a drop-in engine behind
-/// [`crate::ProjectionOptions`]'s `engine` selector. Classification lists
-/// are in universe (method-id) order; the trace is empty and `passes` is
-/// reported as 1 (the oracle has no pass structure to speak of).
-pub fn compute_applicability_fixpoint(
-    schema: &Schema,
-    source: TypeId,
-    projection: &BTreeSet<AttrId>,
-) -> Result<Applicability> {
-    let alive = applicability_fixpoint(schema, source, projection)?;
-    let universe = schema.methods_applicable_to_type(source);
-    let mut applicable = Vec::new();
-    let mut not_applicable = Vec::new();
-    for &m in &universe {
-        if alive.contains(&m) {
-            applicable.push(m);
-        } else {
-            not_applicable.push(m);
-        }
-    }
-    Ok(Applicability {
-        source,
-        projection: projection.clone(),
-        universe,
-        applicable,
-        applicable_set: alive.into_iter().collect(),
-        not_applicable,
-        trace: Vec::new(),
-        passes: 1,
-    })
 }
 
 #[cfg(test)]

@@ -19,62 +19,16 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
-use td_model::{AnalysisPrecision, AttrId, MethodId, Schema, TypeId};
+use td_model::{AttrId, MethodId, Schema, TypeId};
 
-use crate::applicability::{
-    compute_applicability, compute_applicability_indexed_at, Applicability,
-};
+use crate::applicability::{compute_applicability_indexed, Applicability};
 use crate::augment::augment;
 use crate::body_rewrite::{collect_flow_edges, compute_y_and_z, retype_bodies, RetypeOutcome};
 use crate::error::{CoreError, Result};
 use crate::factor_methods::{converted_positions, factor_methods, SignatureChange};
 use crate::factor_state::{factor_state, FactorStateOutcome};
 use crate::invariants::{check_invariants, InvariantReport};
-use crate::oracle::compute_applicability_fixpoint;
 use crate::surrogates::{SurrogateKind, SurrogateRegistry};
-
-/// Which `IsApplicable` implementation stage 1 of [`project`] runs. All
-/// three classify identically (the differential property suite proves it
-/// on randomized schemas); they differ only in cost profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The condensation index (`td_model::appindex`) with pass-based
-    /// fallback for the §4.1 case-2/disjunctive residue — the default:
-    /// amortized O(V+E) per source, bitset tests per projection.
-    #[default]
-    Indexed,
-    /// The paper's pass-based optimistic-cycle stack algorithm, exactly
-    /// as §4.1 describes it (plus the retraction repair in DESIGN.md).
-    Stack,
-    /// The greatest-fixpoint reference oracle — the slowest, kept as an
-    /// independent ground truth and an escape hatch.
-    Fixpoint,
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Engine, String> {
-        match s {
-            "indexed" => Ok(Engine::Indexed),
-            "stack" => Ok(Engine::Stack),
-            "fixpoint" => Ok(Engine::Fixpoint),
-            other => Err(format!(
-                "unknown engine '{other}' (expected indexed, stack or fixpoint)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Engine::Indexed => "indexed",
-            Engine::Stack => "stack",
-            Engine::Fixpoint => "fixpoint",
-        })
-    }
-}
 
 /// Options controlling a projection derivation.
 #[derive(Debug, Clone)]
@@ -86,14 +40,6 @@ pub struct ProjectionOptions {
     pub check_invariants: bool,
     /// Permit an empty projection list (a view with no attributes).
     pub allow_empty: bool,
-    /// The applicability engine for stage 1 (default: [`Engine::Indexed`]).
-    pub engine: Engine,
-    /// The applicability-index precision the [`Engine::Indexed`] engine
-    /// consults (default: [`AnalysisPrecision::Syntactic`]). `Semantic`
-    /// uses `td-analyze`'s interprocedural footprints to demote fallback
-    /// methods; the classification itself is provably identical, so this
-    /// is purely a performance knob. Ignored by the other engines.
-    pub precision: AnalysisPrecision,
 }
 
 impl Default for ProjectionOptions {
@@ -102,8 +48,6 @@ impl Default for ProjectionOptions {
             record_trace: false,
             check_invariants: true,
             allow_empty: false,
-            engine: Engine::default(),
-            precision: AnalysisPrecision::default(),
         }
     }
 }
@@ -332,17 +276,8 @@ pub fn project(
     };
 
     // -- 1. behavior inference (§4) ----------------------------------------
-    let applicability = match opts.engine {
-        Engine::Indexed => compute_applicability_indexed_at(
-            schema,
-            source,
-            projection,
-            opts.precision,
-            opts.record_trace,
-        )?,
-        Engine::Stack => compute_applicability(schema, source, projection, opts.record_trace)?,
-        Engine::Fixpoint => compute_applicability_fixpoint(schema, source, projection)?,
-    };
+    let applicability =
+        compute_applicability_indexed(schema, source, projection, opts.record_trace)?;
     stage_done(&mut stage_times.applicability, "applicability");
 
     // -- 2. state factorization (§5) ----------------------------------------
@@ -413,7 +348,6 @@ pub fn project(
             vec![
                 ("derived", schema.type_name(derived).into()),
                 ("applicable", applicability.applicable.len().into()),
-                ("engine", opts.engine.to_string().into()),
             ],
         );
     }
@@ -685,52 +619,5 @@ mod tests {
         assert!(text.contains("^Employee"));
         assert!(text.contains("applicable"));
         assert!(text.contains("all hold"));
-    }
-
-    #[test]
-    fn engine_parses_and_displays() {
-        for (name, engine) in [
-            ("indexed", Engine::Indexed),
-            ("stack", Engine::Stack),
-            ("fixpoint", Engine::Fixpoint),
-        ] {
-            assert_eq!(name.parse::<Engine>().unwrap(), engine);
-            assert_eq!(engine.to_string(), name);
-        }
-        assert!("turbo".parse::<Engine>().is_err());
-        assert_eq!(Engine::default(), Engine::Indexed);
-    }
-
-    #[test]
-    fn all_engines_derive_the_same_view() {
-        // Project Π_{SSN,date_of_birth,pay_rate}(Employee) with each
-        // engine on a fresh copy of fig. 1; the derived views must keep
-        // exactly the same methods and pass the invariant sweep.
-        let mut reference: Option<std::collections::BTreeSet<String>> = None;
-        for engine in [Engine::Indexed, Engine::Stack, Engine::Fixpoint] {
-            let mut s = fig1_schema();
-            let opts = ProjectionOptions {
-                engine,
-                ..ProjectionOptions::default()
-            };
-            let d = project_named(
-                &mut s,
-                "Employee",
-                &["SSN", "date_of_birth", "pay_rate"],
-                &opts,
-            )
-            .unwrap();
-            assert!(d.invariants_ok(), "{engine}: invariants");
-            let labels: std::collections::BTreeSet<String> = d
-                .applicability
-                .applicable
-                .iter()
-                .map(|&m| s.method_label(m).to_string())
-                .collect();
-            match &reference {
-                None => reference = Some(labels),
-                Some(r) => assert_eq!(&labels, r, "{engine} disagrees"),
-            }
-        }
     }
 }

@@ -12,17 +12,18 @@
 //! random schema. The `delta` copy keeps whatever the closure let
 //! survive; the `rebuilt` copy is forced through `clear_dispatch_cache`
 //! (the old all-or-nothing path). Then every report — applicability
-//! partitions under all three engines, full lint text, explain proofs,
-//! and projection summaries — must match byte for byte, while the cache
-//! counters prove the delta copy genuinely kept entries warm.
+//! partitions from the indexed path, the stack algorithm and the
+//! fixpoint oracle, full lint text, explain proofs, and projection
+//! summaries — must match byte for byte, while the cache counters prove
+//! the delta copy genuinely kept entries warm.
 
 use std::collections::BTreeSet;
 
 use td_core::{
-    compute_applicability_fixpoint, compute_applicability_indexed, explain, lint, project, Engine,
-    ProjectionOptions,
+    applicability_fixpoint, compute_applicability, compute_applicability_indexed, explain, lint,
+    project, ProjectionOptions,
 };
-use td_model::{AttrId, Schema, TypeId};
+use td_model::{AttrId, MethodId, Schema, TypeId};
 use td_workload::{
     apply_random_mutations, deepest_type, random_projection, random_schema, GenParams,
 };
@@ -42,49 +43,45 @@ fn sample_views(s: &Schema, seed: u64) -> Vec<(TypeId, BTreeSet<AttrId>)> {
     views
 }
 
-/// Everything derivable about one view, rendered to stable text. Runs
-/// the indexed engine (exercises the condensation index cache), the
-/// fixpoint oracle, lint, an explain proof per applicable method, and a
-/// projection (on a throwaway fork, since `project` grows the schema).
+/// Everything derivable about one view, rendered to stable text. Lists
+/// the indexed verdicts (exercises the condensation index cache) beside
+/// the stack algorithm's and the fixpoint oracle's, then lint, an explain
+/// proof per applicable method, and a projection (on a throwaway fork,
+/// since `project` grows the schema).
 fn view_report(s: &Schema, source: TypeId, projection: &BTreeSet<AttrId>) -> String {
     let mut out = String::new();
     let indexed =
         compute_applicability_indexed(s, source, projection, false).expect("indexed applicability");
-    let oracle =
-        compute_applicability_fixpoint(s, source, projection).expect("fixpoint applicability");
-    for app in [&indexed, &oracle] {
-        out.push_str("applicable:");
-        for &m in &app.applicable {
-            out.push(' ');
-            out.push_str(s.method_label(m));
-        }
-        out.push_str("\nnot:");
-        for &m in &app.not_applicable {
-            out.push(' ');
-            out.push_str(s.method_label(m));
-        }
-        out.push('\n');
+    let stack = compute_applicability(s, source, projection, false).expect("stack applicability");
+    let alive = applicability_fixpoint(s, source, projection).expect("fixpoint applicability");
+    let labels = |ms: &[MethodId]| -> String {
+        ms.iter()
+            .map(|&m| format!(" {}", s.method_label(m)))
+            .collect()
+    };
+    for (name, app) in [("indexed", &indexed), ("stack", &stack)] {
+        out.push_str(&format!(
+            "{name} applicable:{}\nnot:{}\n",
+            labels(&app.applicable),
+            labels(&app.not_applicable)
+        ));
     }
+    let oracle: Vec<MethodId> = alive.into_iter().collect();
+    out.push_str(&format!("oracle applicable:{}\n", labels(&oracle)));
     out.push_str(&lint(s, Some((source, projection))).render_text());
     for &m in indexed.applicable.iter().take(3) {
         if let Ok(proof) = explain(s, source, projection, m) {
             out.push_str(&proof.render(s));
         }
     }
-    for engine in [Engine::Indexed, Engine::Stack, Engine::Fixpoint] {
-        let opts = ProjectionOptions {
-            engine,
-            ..ProjectionOptions::default()
-        };
-        let mut fork = s.clone();
-        match project(&mut fork, source, projection, &opts) {
-            Ok(d) => {
-                out.push_str(&d.summary(&fork));
-                out.push('\n');
-            }
-            Err(e) => {
-                out.push_str(&format!("project error: {e}\n"));
-            }
+    let mut fork = s.clone();
+    match project(&mut fork, source, projection, &ProjectionOptions::default()) {
+        Ok(d) => {
+            out.push_str(&d.summary(&fork));
+            out.push('\n');
+        }
+        Err(e) => {
+            out.push_str(&format!("project error: {e}\n"));
         }
     }
     out

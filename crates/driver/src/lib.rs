@@ -49,7 +49,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use td_core::{project, CoreError, Derivation, Engine, ProjectionOptions, StageTimings};
+use td_core::{project, CoreError, Derivation, ProjectionOptions, StageTimings};
 use td_model::{
     AttrId, DispatchCacheStats, LintReport, ModelError, Schema, SchemaSnapshot, TypeId,
 };
@@ -416,10 +416,11 @@ impl BatchDeriver {
     /// Pre-warms the snapshot's shared applicability index for every
     /// distinct valid source among `requests`, so each fork starts with
     /// the condensation index already built instead of rebuilding it per
-    /// request. No-op unless the configured engine is [`Engine::Indexed`].
-    /// [`run`](BatchDeriver::run) calls this automatically.
+    /// request. No-op when the options record a trace, since the traced
+    /// path never consults the index. [`run`](BatchDeriver::run) calls
+    /// this automatically.
     pub fn warm_applicability_index(&self, requests: &[BatchRequest]) {
-        if self.options.engine != Engine::Indexed || self.options.record_trace {
+        if self.options.record_trace {
             return;
         }
         let mut seen = BTreeSet::new();
@@ -760,26 +761,6 @@ mod tests {
             .fold(DispatchCacheStats::default(), |acc, r| acc.merge(&r.cache));
         assert_eq!(stats.index_misses, 0, "forks must reuse the warm index");
         assert!(stats.index_hits >= 3, "each request hits the shared index");
-    }
-
-    #[test]
-    fn engines_produce_identical_batch_reports() {
-        let s = base_schema();
-        let reqs = requests(&s);
-        let render_with = |engine: Engine| {
-            let opts = ProjectionOptions {
-                engine,
-                ..ProjectionOptions::default()
-            };
-            BatchDeriver::new(&s)
-                .threads(2)
-                .options(opts)
-                .run(&reqs)
-                .render(&s)
-        };
-        let indexed = render_with(Engine::Indexed);
-        assert_eq!(indexed, render_with(Engine::Stack));
-        assert_eq!(indexed, render_with(Engine::Fixpoint));
     }
 
     #[test]

@@ -67,9 +67,10 @@ use std::sync::OnceLock;
 /// candidates have a ⊆-minimum footprint collapses to one conjunctive
 /// edge, dead candidates drop out, and single-candidate case-2 sites
 /// become plain edges — all verdict-preserving (see
-/// [`ApplicabilityIndex::build_with`]), so the three `IsApplicable`
-/// engines classify identically at either precision while `Semantic`
-/// demotes fallback methods to the indexed fast path.
+/// [`ApplicabilityIndex::build_with`]), so every verdict either index
+/// decides is the same while `Semantic` demotes fallback methods to the
+/// indexed fast path. `td-analyze` consults the semantic index; the
+/// projection pipeline always classifies at `Syntactic`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum AnalysisPrecision {
     /// Call-graph construction only; disjunctive sites defer to the

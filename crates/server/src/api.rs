@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use td_core::{explain, project, Derivation, Engine, ProjectionOptions};
+use td_core::{explain, project, Derivation, ProjectionOptions};
 use td_model::{parse_schema_lenient, AnalysisPrecision, AttrId, Schema, TypeId};
 use td_telemetry::json::{quote, str_array, Json};
 use td_telemetry::TraceId;
@@ -657,27 +657,21 @@ impl Api {
     fn project(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
         let mut schema = self.resolve(req, req.ty.as_deref())?;
         let (source, projection) = self.view(&schema, req)?;
-        let opts = ProjectionOptions {
-            engine: req.engine,
-            ..ProjectionOptions::default()
-        };
-        let d = project(&mut schema, source, &projection, &opts).map_err(|e| bad(e.to_string()))?;
+        let d = project(
+            &mut schema,
+            source,
+            &projection,
+            &ProjectionOptions::default(),
+        )
+        .map_err(|e| bad(e.to_string()))?;
         Ok(Response::json(200, derivation_json(&schema, &d)))
     }
 
     fn applicable(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
         let schema = self.resolve(req, req.ty.as_deref())?;
         let (source, projection) = self.view(&schema, req)?;
-        let r = match req.engine {
-            Engine::Indexed => {
-                td_core::compute_applicability_indexed(&schema, source, &projection, false)
-            }
-            Engine::Stack => td_core::compute_applicability(&schema, source, &projection, false),
-            Engine::Fixpoint => {
-                td_core::compute_applicability_fixpoint(&schema, source, &projection)
-            }
-        }
-        .map_err(|e| bad(e.to_string()))?;
+        let r = td_core::compute_applicability_indexed(&schema, source, &projection, false)
+            .map_err(|e| bad(e.to_string()))?;
         let labels = |ms: &[td_model::MethodId]| {
             str_array(ms.iter().map(|&m| schema.method_label(m).to_string()))
         };
@@ -790,12 +784,7 @@ impl Api {
         // comes back as `line N: message`.
         let requests = td_driver::parse_requests(base.schema(), requests_text)
             .map_err(|e| bad(format!("requests: {e}")))?;
-        let mut deriver = deriver
-            .options(ProjectionOptions {
-                engine: req.engine,
-                ..ProjectionOptions::default()
-            })
-            .lint(true);
+        let mut deriver = deriver.lint(true);
         if let Some(threads) = req.threads {
             if threads == 0 || threads > 64 {
                 return Err(bad("`threads` must be between 1 and 64"));
@@ -826,7 +815,6 @@ struct ComputeRequest {
     schema_text: Option<String>,
     ty: Option<String>,
     attrs: Vec<String>,
-    engine: Engine,
     method: Option<String>,
     requests: Option<String>,
     threads: Option<usize>,
@@ -857,7 +845,6 @@ impl ComputeRequest {
                 "schema_text",
                 "requests",
                 "threads",
-                "engine",
                 "delay_ms",
             ],
             "explain" => &[
@@ -866,7 +853,6 @@ impl ComputeRequest {
                 "schema_text",
                 "type",
                 "attrs",
-                "engine",
                 "method",
                 "delay_ms",
             ],
@@ -876,7 +862,6 @@ impl ComputeRequest {
                 "schema_text",
                 "type",
                 "attrs",
-                "engine",
                 "precision",
                 "format",
                 "delay_ms",
@@ -887,7 +872,6 @@ impl ComputeRequest {
                 "schema_text",
                 "type",
                 "attrs",
-                "engine",
                 "delay_ms",
             ],
         };
@@ -925,10 +909,6 @@ impl ComputeRequest {
                 })
                 .collect::<Result<Vec<String>, ApiError>>()?,
         };
-        let engine = match get_str("engine")? {
-            None => Engine::default(),
-            Some(name) => name.parse().map_err(|e: String| bad(e))?,
-        };
         let threads = match obj.get("threads") {
             None | Some(Json::Null) => None,
             Some(v) => Some(
@@ -965,7 +945,6 @@ impl ComputeRequest {
             schema_text: get_str("schema_text")?,
             ty: get_str("type")?,
             attrs,
-            engine,
             method: get_str("method")?,
             requests: get_str("requests")?,
             threads,
@@ -1283,6 +1262,21 @@ mod tests {
         );
         assert_eq!(r.status, 400);
         assert!(r.body.contains("atrs"), "{}", r.body);
+        // `engine` is an unknown field like any other.
+        for verb in ["project", "lint"] {
+            let r = api.handle(
+                "POST",
+                &format!("/v1/{verb}"),
+                "",
+                format!(
+                    "{{{}, \"type\": \"Employee\", \"attrs\": [\"SSN\"], \"engine\": \"stack\"}}",
+                    inline_schema_field()
+                )
+                .as_bytes(),
+            );
+            assert_eq!(r.status, 400, "{verb}: {}", r.body);
+            assert!(r.body.contains("unknown field `engine`"), "{}", r.body);
+        }
         assert_eq!(
             api.handle("POST", "/v1/project", "", b"{\"type\": \"T\"}")
                 .status,

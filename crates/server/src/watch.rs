@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
-use td_core::{compute_applicability, lint};
+use td_core::{compute_applicability_indexed, lint};
 use td_model::{CallArg, Schema};
 use td_telemetry::json::{quote, str_array};
 
@@ -218,7 +218,7 @@ fn view_verdicts(schema: &Schema, view: &WatchView) -> BTreeSet<(String, bool)> 
             Err(_) => return BTreeSet::new(),
         }
     }
-    let Ok(app) = compute_applicability(schema, source, &projection, false) else {
+    let Ok(app) = compute_applicability_indexed(schema, source, &projection, false) else {
         return BTreeSet::new();
     };
     app.universe

@@ -1,13 +1,15 @@
 //! Properties of the `td-analyze` precision ladder.
 //!
-//! Two guarantees keep [`AnalysisPrecision::Semantic`] an honest
-//! performance knob:
+//! Three guarantees keep the semantic refinement of the applicability
+//! index ([`AnalysisPrecision::Semantic`]) honest:
 //!
 //! 1. **Footprint nesting** — the semantic refinement only ever
 //!    *removes* disjunctive over-approximation, so every method's
 //!    semantic attribute footprint is a subset of its syntactic one and
 //!    the fallback-method count never grows.
-//! 2. **Report invisibility** — precision must never change an
+//! 2. **Verdict preservation** — every verdict the semantic index
+//!    decides by itself is the syntactic classification's.
+//! 3. **Report invisibility** — semantic warming must never change an
 //!    observable answer. The suite runs the same request on two
 //!    identically generated schemas, one kept fully syntactic and one
 //!    warmed at semantic precision, and compares the *bytes* of all
@@ -23,9 +25,9 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use typederive::analyze::analyze;
 use typederive::derive::{
-    compute_applicability_indexed_at, explain, lint, project, ProjectionOptions,
+    compute_applicability_indexed, explain, lint, project, ProjectionOptions,
 };
-use typederive::model::{AnalysisPrecision, BodyBuilder, MethodId, MethodKind, Specializer};
+use typederive::model::{AnalysisPrecision, BodyBuilder, MethodKind, Specializer};
 use typederive::server::derivation_json;
 use typederive::workload::{
     analysis_corpus, deepest_type, disjunctive_schema, random_projection, random_schema, GenParams,
@@ -114,19 +116,21 @@ proptest! {
         }
 
         // --- 2. verdict preservation --------------------------------
-        let set = |v: &[MethodId]| v.iter().copied().collect::<BTreeSet<_>>();
+        // Every verdict the semantic index decides on its own must be
+        // the syntactic classification's.
         let syn_app =
-            compute_applicability_indexed_at(
-                &syn_schema, source, &projection, AnalysisPrecision::Syntactic, false,
-            )
-            .unwrap();
-        let sem_app =
-            compute_applicability_indexed_at(
-                &sem_schema, source, &projection, AnalysisPrecision::Semantic, false,
-            )
-            .unwrap();
-        prop_assert_eq!(set(&syn_app.applicable), set(&sem_app.applicable));
-        prop_assert_eq!(set(&syn_app.not_applicable), set(&sem_app.not_applicable));
+            compute_applicability_indexed(&syn_schema, source, &projection, false).unwrap();
+        let sem_bits = sem_idx.projection_bits(&projection);
+        for &m in sem_idx.universe() {
+            if let Some(v) = sem_idx.verdict(m, &sem_bits) {
+                prop_assert_eq!(
+                    v,
+                    syn_app.is_applicable(m),
+                    "semantic index verdict for method {:?} diverges",
+                    m
+                );
+            }
+        }
 
         // --- 3. report invisibility ---------------------------------
         // Warm every semantic artifact (analysis reports included)
@@ -161,10 +165,7 @@ proptest! {
                 &mut sem_mut,
                 source,
                 &projection,
-                &ProjectionOptions {
-                    precision: AnalysisPrecision::Semantic,
-                    ..ProjectionOptions::default()
-                },
+                &ProjectionOptions::default(),
             )
             .unwrap();
             prop_assert_eq!(

@@ -1,12 +1,14 @@
-//! Property: the three `IsApplicable` engines — the condensation-index
-//! engine, the paper's stack algorithm and the greatest-fixpoint oracle —
-//! classify identically on every randomly generated schema.
+//! Property: the `IsApplicable` implementations — the condensation-index
+//! path every production caller uses, the paper's stack algorithm (the
+//! index's fallback) and the greatest-fixpoint oracle — classify
+//! identically on every randomly generated schema, down to the order of
+//! the verdict lists.
 //!
-//! The indexed engine answers single-candidate regions by bitset
+//! The indexed path answers single-candidate regions by bitset
 //! footprint test and falls back to the stack algorithm for disjunctive
 //! (§4.1 case-2 / multi-candidate) regions, so this suite is the direct
 //! check on the fallback seam: any method the index wrongly claims, or
-//! wrongly routes, shows up as a set difference. Each case exercises the
+//! wrongly routes, shows up as a list difference. Each case exercises the
 //! index cold (first build), warm (cached), and after a
 //! cache-invalidating schema mutation (rebuild against the new
 //! generation).
@@ -14,10 +16,12 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use typederive::derive::{
-    compute_applicability, compute_applicability_fixpoint, compute_applicability_indexed,
+    applicability_fixpoint, compute_applicability, compute_applicability_indexed, project_named,
+    ProjectionOptions,
 };
 use typederive::model::{MethodId, Schema, TypeId, ValueType};
-use typederive::workload::{deepest_type, random_projection, random_schema, GenParams};
+use typederive::server::derivation_json;
+use typederive::workload::{deepest_type, figures, random_projection, random_schema, GenParams};
 
 fn params_strategy() -> impl Strategy<Value = GenParams> {
     (
@@ -62,9 +66,9 @@ fn params_strategy() -> impl Strategy<Value = GenParams> {
         )
 }
 
-/// Runs all three engines and asserts their applicable / not-applicable
-/// classifications are identical as sets (the indexed engine may order
-/// its output differently; the paper's semantics is a set).
+/// Runs the indexed path, the stack algorithm and the oracle, and asserts
+/// equal universes and equal applicable / not-applicable *lists*: every
+/// path reports its verdicts in universe order.
 fn assert_engines_agree(
     schema: &Schema,
     source: TypeId,
@@ -73,41 +77,67 @@ fn assert_engines_agree(
 ) -> Result<(), TestCaseError> {
     let stack = compute_applicability(schema, source, projection, false).unwrap();
     let indexed = compute_applicability_indexed(schema, source, projection, false).unwrap();
-    let fixpoint = compute_applicability_fixpoint(schema, source, projection).unwrap();
-    let set = |v: &[MethodId]| v.iter().copied().collect::<BTreeSet<_>>();
+    let alive = applicability_fixpoint(schema, source, projection).unwrap();
+    let (oracle_app, oracle_not): (Vec<MethodId>, Vec<MethodId>) = stack
+        .universe
+        .iter()
+        .copied()
+        .partition(|m| alive.contains(m));
 
-    let stack_app = set(&stack.applicable);
     prop_assert_eq!(
-        &stack_app,
-        &set(&indexed.applicable),
-        "{}: indexed applicable set diverges",
+        &stack.universe,
+        &indexed.universe,
+        "{}: universes diverge",
         label
     );
     prop_assert_eq!(
-        &stack_app,
-        &set(&fixpoint.applicable),
-        "{}: fixpoint applicable set diverges",
-        label
-    );
-    let stack_not = set(&stack.not_applicable);
-    prop_assert_eq!(
-        &stack_not,
-        &set(&indexed.not_applicable),
-        "{}: indexed not-applicable set diverges",
+        &stack.applicable,
+        &indexed.applicable,
+        "{}: indexed applicable list diverges",
         label
     );
     prop_assert_eq!(
-        &stack_not,
-        &set(&fixpoint.not_applicable),
-        "{}: fixpoint not-applicable set diverges",
+        &stack.applicable,
+        &oracle_app,
+        "{}: fixpoint applicable list diverges",
         label
     );
-    // is_applicable agrees with the lists on every engine.
+    prop_assert_eq!(
+        &stack.not_applicable,
+        &indexed.not_applicable,
+        "{}: indexed not-applicable list diverges",
+        label
+    );
+    prop_assert_eq!(
+        &stack.not_applicable,
+        &oracle_not,
+        "{}: fixpoint not-applicable list diverges",
+        label
+    );
+    // is_applicable agrees with the lists on every path.
     for &m in &stack.universe {
         prop_assert_eq!(stack.is_applicable(m), indexed.is_applicable(m));
-        prop_assert_eq!(stack.is_applicable(m), fixpoint.is_applicable(m));
+        prop_assert_eq!(stack.is_applicable(m), alive.contains(&m));
     }
     Ok(())
+}
+
+/// Recording the `IsApplicable` trace sends stage 1 down the stack
+/// algorithm, which discovers fig. 3's verdicts in a different order than
+/// the index lists them; the derivation bytes must not notice.
+#[test]
+fn record_trace_leaves_the_derivation_bytes_unchanged() {
+    let derive = |record_trace: bool| {
+        let mut s = figures::fig3();
+        let opts = ProjectionOptions {
+            record_trace,
+            ..ProjectionOptions::default()
+        };
+        let d = project_named(&mut s, "A", figures::FIG4_PROJECTION, &opts).unwrap();
+        assert_eq!(d.applicability.trace.is_empty(), !record_trace);
+        derivation_json(&s, &d)
+    };
+    assert_eq!(derive(true), derive(false));
 }
 
 proptest! {

@@ -142,7 +142,7 @@ fn corruption_errors_render_readable_messages() {
 
 #[test]
 fn golden_v1_fixture_still_loads() {
-    let (schema, meta) = read_snapshot_file(manifest_path("tests/fixtures/fig3_v1.tds"))
+    let (mut schema, meta) = read_snapshot_file(manifest_path("tests/fixtures/fig3_v1.tds"))
         .expect("the committed v1 fixture must stay loadable by every future reader");
     assert!(
         meta.iter().any(|(k, _)| k == "source"),
@@ -154,42 +154,20 @@ fn golden_v1_fixture_still_loads() {
     assert!(stats.index_entries > 0, "fixture loaded with cold indexes");
     assert_eq!(schema.type_id("A").unwrap(), schema.type_id("A").unwrap());
 
-    // Byte-identical derivation vs the text-parsed path, across engines.
+    // Byte-identical derivation vs the text-parsed path.
     let text = std::fs::read_to_string(manifest_path("examples/schemas/fig3.td")).unwrap();
-    let from_text = parse_schema(&text).unwrap();
+    let mut from_text = parse_schema(&text).unwrap();
     assert_eq!(schema.render_hierarchy(), from_text.render_hierarchy());
     assert_eq!(schema.render_methods(), from_text.render_methods());
-    for engine in [
-        typederive::derive::Engine::Indexed,
-        typederive::derive::Engine::Stack,
-        typederive::derive::Engine::Fixpoint,
-    ] {
-        let opts = typederive::derive::ProjectionOptions {
-            engine,
-            ..Default::default()
-        };
-        let mut s1 = schema.clone();
-        let mut s2 = from_text.clone();
-        let d1 = typederive::derive::project_named(
-            &mut s1,
-            "A",
-            typederive::workload::figures::FIG4_PROJECTION,
-            &opts,
-        )
-        .unwrap();
-        let d2 = typederive::derive::project_named(
-            &mut s2,
-            "A",
-            typederive::workload::figures::FIG4_PROJECTION,
-            &opts,
-        )
-        .unwrap();
-        assert_eq!(
-            typederive::server::derivation_json(&s1, &d1),
-            typederive::server::derivation_json(&s2, &d2),
-            "snapshot-loaded and text-parsed derivations diverged ({engine:?})"
-        );
-    }
+    let opts = typederive::derive::ProjectionOptions::default();
+    let view = typederive::workload::figures::FIG4_PROJECTION;
+    let d1 = typederive::derive::project_named(&mut schema, "A", view, &opts).unwrap();
+    let d2 = typederive::derive::project_named(&mut from_text, "A", view, &opts).unwrap();
+    assert_eq!(
+        typederive::server::derivation_json(&schema, &d1),
+        typederive::server::derivation_json(&from_text, &d2),
+        "snapshot-loaded and text-parsed derivations diverged"
+    );
 }
 
 #[test]
