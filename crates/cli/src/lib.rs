@@ -876,6 +876,9 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             }
             let server = td_server::Server::bind(config)
                 .map_err(|e| fail(format!("serve: cannot bind: {e}")))?;
+            // Before the port file appears, so a SIGTERM sent as soon as
+            // it does already drains.
+            td_server::install_shutdown_handler(&server);
             let addr = server
                 .local_addr()
                 .map_err(|e| fail(format!("serve: {e}")))?;
@@ -885,10 +888,7 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             }
             // Stderr, so stdout stays clean for scripted use.
             eprintln!("tdv serve: listening on http://{addr} (SIGTERM drains and exits)");
-            let shutdown = td_server::install_shutdown_handler();
-            server
-                .run(shutdown)
-                .map_err(|e| fail(format!("serve: {e}")))?;
+            server.run().map_err(|e| fail(format!("serve: {e}")))?;
             Ok("tdv serve: drained in-flight requests and stopped\n".to_string())
         }
         "client" => {
@@ -1387,40 +1387,36 @@ mod tests {
 
     #[test]
     fn client_round_trips_against_a_live_server() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let server = Arc::new(
             td_server::Server::bind(td_server::ServerConfig::default())
                 .expect("bind a loopback port"),
         );
         let addr = server.local_addr().unwrap().to_string();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let runner = {
-            let (server, shutdown) = (Arc::clone(&server), Arc::clone(&shutdown));
-            std::thread::spawn(move || server.run(&shutdown))
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.run())
         };
         let out = run_ok(&["client", &addr, "GET", "/healthz"]);
         assert_eq!(out, "ok\n");
         let e = run_err(&["client", &addr, "get", "/v1/nope"]);
         assert!(e.message.contains("HTTP 404"), "{}", e.message);
         assert_eq!(e.code, 2);
-        shutdown.store(true, Ordering::SeqCst);
+        server.stop();
         runner.join().unwrap().unwrap();
     }
 
     #[test]
     fn watch_streams_a_change_event_for_a_schema_edit() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let server = Arc::new(
             td_server::Server::bind(td_server::ServerConfig::default())
                 .expect("bind a loopback port"),
         );
         let addr = server.local_addr().unwrap().to_string();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let runner = {
-            let (server, shutdown) = (Arc::clone(&server), Arc::clone(&shutdown));
-            std::thread::spawn(move || server.run(&shutdown))
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.run())
         };
 
         let base = "type A { x: int }\ntype B : A { z: int }\naccessors x\naccessors z\n";
@@ -1473,7 +1469,7 @@ mod tests {
         let e = run_err(&["watch", &addr, "--tenant", "acme"]);
         assert!(e.message.contains("--schema is required"), "{}", e.message);
 
-        shutdown.store(true, Ordering::SeqCst);
+        server.stop();
         runner.join().unwrap().unwrap();
     }
 

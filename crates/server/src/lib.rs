@@ -21,16 +21,18 @@
 //! ```text
 //!             ┌───────────┐   mpsc    ┌───────────┐  FairQueue  ┌─────────────┐
 //!  accept ───►│ acceptor  │──────────►│ io pool   │────────────►│ exec workers│
-//!  (nonblock) │ polls the │  streams  │ parse     │  compute    │ Api::handle │
-//!             │ shutdown  │           │ HTTP/JSON │  jobs by    │ + respond   │
-//!             │ flag      │           │ answer    │  tenant     │             │
+//!  (blocking) │ one wake  │  streams  │ parse     │  compute    │ Api::handle │
+//!             │ connect   │           │ HTTP/JSON │  jobs by    │ + respond   │
+//!             │ at stop   │           │ answer    │  tenant     │             │
 //!             └───────────┘           │ GET/PUT   │             └─────────────┘
 //!                                     └───────────┘
 //! ```
 //!
-//! * The **acceptor** owns the nonblocking listener and polls the
-//!   shutdown flag ([`signal`]) between accepts; a SIGTERM stops new
-//!   connections immediately.
+//! * The **acceptor** owns the listener and blocks in `accept`. A stop
+//!   ([`Server::stop`], or SIGTERM through [`signal`]) sets a flag and
+//!   connects once to the listener's own address. The acceptor wakes,
+//!   sees the flag and closes the listener, so new connects are refused.
+//!   No thread sleeps or polls while the server is idle.
 //! * The **io pool** reads and parses requests. Cheap endpoints (every
 //!   GET, schema registration) are answered inline; derivation work is
 //!   submitted to the tenant-fair admission queue ([`admission`]), and a
@@ -39,8 +41,8 @@
 //!   and run [`Api::handle`] — pure compute, no socket knowledge, which
 //!   is what the bench and the unit tests drive directly.
 //!
-//! Graceful shutdown is a drain in that same order: stop accepting, let
-//! the io pool finish parsing what arrived, close the queue, let the
+//! Graceful shutdown is a drain in that same order: close the listener,
+//! let the io pool finish parsing what arrived, close the queue, let the
 //! exec workers finish what was admitted, join everything, exit 0. No
 //! admitted request is dropped.
 //!
@@ -73,11 +75,11 @@ pub use watch::{WatchHub, WatchView};
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use signal::Stopper;
 use td_telemetry::TraceId;
 
 /// Tuning knobs for [`Server::bind`].
@@ -145,10 +147,17 @@ struct Job {
     submitted_ns: u64,
 }
 
-/// A bound derivation server. [`run`](Server::run) blocks until the
-/// shutdown flag trips and the drain completes.
+/// A bound derivation server. [`run`](Server::run) blocks until
+/// [`stop`](Server::stop) (or a signal, see [`install_shutdown_handler`])
+/// and the drain that follows complete.
 pub struct Server {
-    listener: TcpListener,
+    /// Taken by [`run`](Server::run), which drops it when the drain begins.
+    listener: Mutex<Option<TcpListener>>,
+    /// The bound address, kept for [`local_addr`](Server::local_addr)
+    /// after the listener is gone.
+    local_addr: SocketAddr,
+    /// Shared with the signal handler once this server is registered.
+    stopper: Arc<Stopper>,
     config: ServerConfig,
     api: Api,
     /// JSONL access log, when configured. One line per completed or
@@ -165,6 +174,7 @@ impl Server {
     /// the registry before the first request is accepted.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        let local_addr = listener.local_addr()?;
         let api = match &config.snapshot_dir {
             Some(dir) => {
                 let (registry, loaded) = Registry::with_snapshot_dir(dir)
@@ -193,7 +203,9 @@ impl Server {
         }
         let slow_threshold_us = config.slow_threshold_us.unwrap_or(config.slo_objective_us);
         Ok(Server {
-            listener,
+            listener: Mutex::new(Some(listener)),
+            local_addr,
+            stopper: Arc::new(Stopper::new(local_addr)),
             config,
             api,
             access_log: Mutex::new(access_log),
@@ -203,7 +215,7 @@ impl Server {
 
     /// The bound address — the actual port when the config said `:0`.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.local_addr)
     }
 
     /// The API the listener dispatches into (exposed for warm-up and
@@ -212,11 +224,17 @@ impl Server {
         &self.api
     }
 
-    /// Serves until `shutdown` becomes true, then drains: in-flight and
-    /// admitted requests finish, new connections are refused, workers
-    /// join. Returns once the drain is complete.
-    pub fn run(&self, shutdown: &AtomicBool) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+    /// Serves on the calling thread until [`stop`](Server::stop), then
+    /// drains: the listener closes, so new connects are refused; in-flight
+    /// and admitted requests finish; workers join. Returns once the drain
+    /// is complete. A server runs once: a second call is an error.
+    pub fn run(&self) -> io::Result<()> {
+        let listener = self
+            .listener
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
+            .ok_or_else(|| io::Error::other("the server has already run"))?;
         let queue: FairQueue<Job> = FairQueue::new(self.config.queue_slots);
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
         let conn_rx = Arc::new(Mutex::new(conn_rx));
@@ -264,28 +282,31 @@ impl Server {
                 })
                 .collect();
 
-            // The accept loop runs on the calling thread.
-            while !shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
+            // The accept loop runs on the calling thread and blocks in
+            // `accept`; a stop wakes it with one connect, dropped here.
+            loop {
+                let accepted = listener.accept();
+                if self.stopper.stop_requested() {
+                    break;
+                }
+                match accepted {
                     Ok((stream, _peer)) => {
-                        let _ = stream.set_nonblocking(false);
                         if conn_tx.send(stream).is_err() {
                             break;
                         }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    // Transient accept failures (e.g. a reset in the
-                    // backlog) must not kill the service.
+                    // Transient accept failures (a reset in the backlog,
+                    // EMFILE) must not kill the service, nor spin.
                     Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             }
 
-            // Drain, strictly in pipeline order: no more connections →
-            // io pool finishes parsing and submitting → queue closes →
-            // exec workers finish admitted jobs.
+            // Drain, strictly in pipeline order: the listener closes, so
+            // new connects are refused → io pool finishes parsing and
+            // submitting → queue closes → exec workers finish admitted
+            // jobs.
+            drop(listener);
             drop(conn_tx);
             for h in io_pool {
                 let _ = h.join();
@@ -306,6 +327,14 @@ impl Server {
             let _ = w.flush();
         }
         Ok(())
+    }
+
+    /// Makes [`run`](Server::run) stop accepting and drain: sets the
+    /// stop flag, then connects once to the listener to wake the blocked
+    /// `accept`. SIGTERM does the same after [`install_shutdown_handler`].
+    /// Called before `run`, it makes `run` drain as soon as it starts.
+    pub fn stop(&self) {
+        self.stopper.stop();
     }
 
     /// Publishes the total and per-tenant queue-depth gauges. Called at

@@ -6,7 +6,6 @@
 //! windowed-histogram boundary determinism the SLO metrics rely on.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -24,19 +23,18 @@ method age(Person) -> int { return 2026 - get_date_of_birth($0); }
 method pay(Employee) -> float { return get_pay_rate($0) * get_hrs_worked($0); }
 ";
 
-fn start(config: ServerConfig) -> (Arc<Server>, String, Arc<AtomicBool>, thread::JoinHandle<()>) {
+fn start(config: ServerConfig) -> (Arc<Server>, String, thread::JoinHandle<()>) {
     let server = Arc::new(Server::bind(config).expect("bind a loopback port"));
     let addr = server.local_addr().unwrap().to_string();
-    let shutdown = Arc::new(AtomicBool::new(false));
     let runner = {
-        let (server, shutdown) = (Arc::clone(&server), Arc::clone(&shutdown));
-        thread::spawn(move || server.run(&shutdown).expect("server run"))
+        let server = Arc::clone(&server);
+        thread::spawn(move || server.run().expect("server run"))
     };
-    (server, addr, shutdown, runner)
+    (server, addr, runner)
 }
 
-fn stop(shutdown: &AtomicBool, runner: thread::JoinHandle<()>) {
-    shutdown.store(true, Ordering::SeqCst);
+fn stop(server: &Server, runner: thread::JoinHandle<()>) {
+    server.stop();
     runner.join().expect("runner joins cleanly");
 }
 
@@ -66,7 +64,7 @@ fn client_trace_id_is_visible_on_every_observability_surface() {
         slow_threshold_us: Some(0),
         ..ServerConfig::default()
     };
-    let (_server, addr, shutdown, runner) = start(config);
+    let (server, addr, runner) = start(config);
 
     let put = http_request(
         &addr,
@@ -116,7 +114,7 @@ fn client_trace_id_is_visible_on_every_observability_surface() {
 
     // Stop the server: the access log flushes on drain (each line was
     // also flushed as written) and no more requests can race the reads.
-    stop(&shutdown, runner);
+    stop(&server, runner);
 
     // 3. The access log has the request's line, with the same id and
     //    the endpoint bucket.

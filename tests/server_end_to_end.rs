@@ -5,10 +5,9 @@
 //! isolation, version-bump invalidation, concurrency determinism,
 //! admission control, and protocol-level rejection.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -16,21 +15,20 @@ use typederive::server::{http_call, Api, Server, ServerConfig};
 use typederive::workload::{fig3_with_z1, server_replay, ReplaySpec};
 
 /// Binds a server on a free loopback port and serves it from a
-/// background thread. Returns the server, its `host:port`, the shutdown
-/// flag, and the runner handle (join it after tripping the flag).
-fn start(config: ServerConfig) -> (Arc<Server>, String, Arc<AtomicBool>, thread::JoinHandle<()>) {
+/// background thread. Returns the server, its `host:port`, and the
+/// runner handle (join it through [`stop`]).
+fn start(config: ServerConfig) -> (Arc<Server>, String, thread::JoinHandle<()>) {
     let server = Arc::new(Server::bind(config).expect("bind a loopback port"));
     let addr = server.local_addr().unwrap().to_string();
-    let shutdown = Arc::new(AtomicBool::new(false));
     let runner = {
-        let (server, shutdown) = (Arc::clone(&server), Arc::clone(&shutdown));
-        thread::spawn(move || server.run(&shutdown).expect("server run"))
+        let server = Arc::clone(&server);
+        thread::spawn(move || server.run().expect("server run"))
     };
-    (server, addr, shutdown, runner)
+    (server, addr, runner)
 }
 
-fn stop(shutdown: &AtomicBool, runner: thread::JoinHandle<()>) {
-    shutdown.store(true, Ordering::SeqCst);
+fn stop(server: &Server, runner: thread::JoinHandle<()>) {
+    server.stop();
     runner.join().expect("runner joins cleanly");
 }
 
@@ -78,7 +76,7 @@ fn project_body(tenant: &str, schema: &str, ty: &str, attrs: &[&str]) -> String 
 
 #[test]
 fn tenants_with_the_same_schema_name_stay_isolated() {
-    let (_server, addr, shutdown, runner) = start(ServerConfig::default());
+    let (server, addr, runner) = start(ServerConfig::default());
 
     let (status, _) = put_schema(&addr, "acme", "hr", SCHEMA_A);
     assert_eq!(status, 201);
@@ -121,12 +119,12 @@ fn tenants_with_the_same_schema_name_stay_isolated() {
     .unwrap();
     assert_eq!(s, 400, "{body}");
 
-    stop(&shutdown, runner);
+    stop(&server, runner);
 }
 
 #[test]
 fn version_bump_replaces_the_registered_schema() {
-    let (_server, addr, shutdown, runner) = start(ServerConfig::default());
+    let (server, addr, runner) = start(ServerConfig::default());
 
     let (status, body) = put_schema(&addr, "t", "s", SCHEMA_A);
     assert_eq!(status, 201, "{body}");
@@ -177,7 +175,7 @@ fn version_bump_replaces_the_registered_schema() {
     assert_eq!(s, 200);
     assert_ne!(first, second, "v2 must not answer from v1's snapshot");
 
-    stop(&shutdown, runner);
+    stop(&server, runner);
 }
 
 #[test]
@@ -211,7 +209,7 @@ fn concurrent_mixed_tenant_load_matches_sequential_dispatch() {
         .collect();
 
     // Live server, every request on its own thread.
-    let (_server, addr, shutdown, runner) = start(ServerConfig {
+    let (server, addr, runner) = start(ServerConfig {
         exec_threads: 4,
         queue_slots: 64,
         ..ServerConfig::default()
@@ -244,14 +242,14 @@ fn concurrent_mixed_tenant_load_matches_sequential_dispatch() {
         );
     }
 
-    stop(&shutdown, runner);
+    stop(&server, runner);
 }
 
 #[test]
 fn full_tenant_queue_answers_429_with_retry_after() {
     // One exec worker, one queue slot: a slow request occupies the
     // worker, the next occupies the slot, the third must bounce.
-    let (_server, addr, shutdown, runner) = start(ServerConfig {
+    let (server, addr, runner) = start(ServerConfig {
         exec_threads: 1,
         queue_slots: 1,
         ..ServerConfig::default()
@@ -304,12 +302,12 @@ fn full_tenant_queue_answers_429_with_retry_after() {
     let (s2, b2) = second.join().unwrap().unwrap();
     assert_eq!((s1, s2), (200, 200), "{b1}\n{b2}");
 
-    stop(&shutdown, runner);
+    stop(&server, runner);
 }
 
 #[test]
 fn malformed_http_and_oversized_bodies_are_rejected() {
-    let (_server, addr, shutdown, runner) = start(ServerConfig {
+    let (server, addr, runner) = start(ServerConfig {
         max_body: 2048,
         ..ServerConfig::default()
     });
@@ -342,14 +340,14 @@ fn malformed_http_and_oversized_bodies_are_rejected() {
     let (status, body) = http_call(&addr, "GET", "/healthz", None).unwrap();
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
-    stop(&shutdown, runner);
+    stop(&server, runner);
 }
 
 #[test]
 fn hostile_json_bodies_get_400_and_the_server_keeps_serving() {
     // The default body cap, so both bodies are read in full and reach
     // the JSON parser.
-    let (_server, addr, shutdown, runner) = start(ServerConfig::default());
+    let (server, addr, runner) = start(ServerConfig::default());
 
     // 64 KiB of `[`: the parser's depth bound answers 400 instead of
     // recursing until the worker's stack overflows.
@@ -368,12 +366,12 @@ fn hostile_json_bodies_get_400_and_the_server_keeps_serving() {
     let (status, body) = http_call(&addr, "GET", "/healthz", None).unwrap();
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
-    stop(&shutdown, runner);
+    stop(&server, runner);
 }
 
 #[test]
 fn shutdown_drains_in_flight_requests() {
-    let (_server, addr, shutdown, runner) = start(ServerConfig::default());
+    let (server, addr, runner) = start(ServerConfig::default());
     put_schema(&addr, "t", "s", SCHEMA_A);
 
     let slow = {
@@ -387,12 +385,48 @@ fn shutdown_drains_in_flight_requests() {
     // Trip shutdown while the slow request is in flight; the drain must
     // finish it rather than cut the socket.
     thread::sleep(Duration::from_millis(100));
-    shutdown.store(true, Ordering::SeqCst);
+    server.stop();
     runner.join().expect("drain completes");
     let (status, body) = slow.join().unwrap().expect("in-flight request answered");
     assert_eq!(status, 200, "{body}");
 
-    // After the drain the listener is gone.
-    thread::sleep(Duration::from_millis(50));
-    assert!(http_call(&addr, "GET", "/healthz", None).is_err());
+    // The listener closed when the drain began: new connects are refused
+    // at once, not left unanswered in the backlog.
+    let err = http_call(&addr, "GET", "/healthz", None).expect_err("listener is closed");
+    assert_eq!(err.kind(), ErrorKind::ConnectionRefused, "{err}");
+}
+
+/// Runs `server`, then stops it once its acceptor is blocked in `accept`
+/// (a stop that lands first must work too). The runner reports through a
+/// channel, so a stop that never wakes the acceptor fails the 5 s
+/// `recv_timeout` instead of hanging the suite.
+fn stop_while_blocked(server: Server) {
+    let server = Arc::new(server);
+    let (done_tx, done) = mpsc::channel();
+    let runner = {
+        let server = Arc::clone(&server);
+        thread::spawn(move || done_tx.send(server.run()).expect("the test waits"))
+    };
+    thread::sleep(Duration::from_millis(100));
+    server.stop();
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("stop wakes the blocked acceptor")
+        .expect("run drains cleanly");
+    runner.join().expect("runner exits");
+}
+
+#[test]
+fn idle_server_stops_when_asked() {
+    stop_while_blocked(Server::bind(ServerConfig::default()).expect("bind"));
+}
+
+#[test]
+fn wildcard_bound_server_stops_when_asked() {
+    stop_while_blocked(
+        Server::bind(ServerConfig {
+            addr: "0.0.0.0:0".to_string(),
+            ..ServerConfig::default()
+        })
+        .expect("bind the wildcard address"),
+    );
 }
