@@ -19,18 +19,57 @@
 //! * **subtype preservation** — the subtype relation restricted to
 //!   original types is unchanged.
 //!
-//! Dispatch comparison enumerates argument tuples exhaustively up to a
-//! budget and deterministically strides beyond it, so reports are
-//! reproducible.
+//! # Exact by construction
 //!
-//! The I2 replay is the motivating workload for td-model's dispatch
-//! acceleration layer: it calls `most_specific` once per tuple, and every
-//! tuple re-walks the same handful of CPLs. Both schemas' replays run
-//! through the memoized caches, and the report carries the refactored
-//! schema's cache counters so callers can see how warm the replay ran.
+//! The report lists exactly the violations that comparing every original
+//! type, every pair of them and every tuple of them would list, in the
+//! same order, but the work grows with what the derivation changed:
+//!
+//! 1. **I5 first.** A schema that fails validation makes the other checks
+//!    meaningless. A valid `after` has a CPL for every live type.
+//! 2. **Affected types.** A live type of `before` is *touched* when its
+//!    node differs in `after`: its supers with their precedences, its
+//!    local attributes, its surrogate origin or its liveness. It is
+//!    *affected* when its `before` ancestor closure contains a touched
+//!    type (one memoized pass over the `before` DAG). By induction over
+//!    supers, an unaffected type has the same ancestor closure in both
+//!    schemas, so the same CPL (linearization reads only the closure's
+//!    supers), the same collapsed ranks (they read only the CPL's
+//!    surrogate origins) and the same cumulative attributes.
+//! 3. **I1 and subtype preservation** thus hold for every unaffected
+//!    type. For each affected type the two ancestor bit rows are
+//!    compared, restricted to original types: O(affected × types / 64).
+//! 4. **I2 by dispatch facts.** For a method `m` of a generic function
+//!    `g`, an argument position `i` and an original type `t`, the *fact*
+//!    is `None` when `t` is not below `m`'s `i`-th specializer, else the
+//!    specializer's rank in `t`'s collapsed rank table — the table
+//!    dispatch ranks by (DESIGN §6 deviation 3). A method missing from
+//!    `g`'s list on one side, or whose specializers are not one object
+//!    type per argument, applies to no tuple of original types there: it
+//!    has no fact (`None`) at any position. The winner of a tuple is a
+//!    function of its positions' facts and of method ids (ties break by
+//!    id), so a tuple whose facts are all equal dispatches the same.
+//!    Where a specializer is kept, its facts can only differ for an
+//!    affected type (step 2), and only if the specializer is in one of
+//!    that type's two rank tables. Where it was retargeted (or exists on
+//!    one side only), every original type below the old or the new
+//!    specializer is compared; every other type reads `None` twice.
+//! 5. **Replay only where a fact differs.** For a difference at
+//!    `(g, i, t)`, every tuple of `g` with `t` at `i` and original types
+//!    elsewhere is dispatched on both schemas, in the exhaustive
+//!    enumeration's order. A changed winner is a
+//!    [`Violation::DispatchChanged`] witness and a failed lookup a
+//!    [`Violation::SchemaInvalid`]. A rank change that flips no winner
+//!    reports nothing, and a tuple whose winner changed has a differing
+//!    fact at some position, so it is replayed: the verdict is exact in
+//!    both directions. A clean derivation replays no tuple.
+//!
+//! I3 and I4 compare the derived type directly. Every check adds its
+//! violation count to the `core/invariant_violations` counter of the
+//! telemetry registry, which `tdv serve` exposes on `/metrics`.
 
-use std::collections::BTreeSet;
-use td_model::{AttrId, CallArg, DispatchCacheStats, GfId, MethodId, Schema, TypeId};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use td_model::{AttrId, CallArg, DispatchCacheStats, GfId, MethodId, Schema, Specializer, TypeId};
 
 /// One observed divergence from the paper's guarantees.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,10 +132,14 @@ pub enum Violation {
 pub struct InvariantReport {
     /// All violations found (empty = every guarantee holds).
     pub violations: Vec<Violation>,
-    /// Number of dispatch tuples compared for I2.
+    /// Dispatch tuples replayed for I2: only tuples with a differing
+    /// dispatch fact, so 0 on a clean derivation.
     pub dispatch_tuples_checked: usize,
+    /// Dispatch facts compared for I2: one per (specializer, original
+    /// type) pair looked up on both schemas.
+    pub dispatch_facts_checked: usize,
     /// Dispatch-cache counters of the refactored (`after`) schema once the
-    /// I2 replay finished — shows how much of the replay was served warm.
+    /// check finished.
     pub dispatch_cache: DispatchCacheStats,
 }
 
@@ -106,17 +149,6 @@ impl InvariantReport {
         self.violations.is_empty()
     }
 }
-
-/// Budget of dispatch tuples examined per generic function.
-const TUPLE_BUDGET: usize = 2048;
-/// Budget of dispatch tuples examined across the whole I2 replay. On
-/// paper-scale schemas the per-gf budget binds first and behavior is
-/// unchanged; on generated schemas with thousands of generic functions
-/// this caps the replay (and the dispatch-cache footprint it warms) at
-/// a fixed sample instead of letting it grow with `gfs × tuples`.
-const TOTAL_TUPLE_BUDGET: usize = 200_000;
-/// Budget of type pairs examined for subtype preservation.
-const PAIR_BUDGET: usize = 40_000;
 
 /// Checks all invariants. `before` is a clone of the schema taken before
 /// the derivation; `derived`, `projection` and `applicable` come from the
@@ -129,22 +161,36 @@ pub fn check_invariants(
     applicable: &[MethodId],
 ) -> InvariantReport {
     let mut report = InvariantReport::default();
-
     // I5 first: a malformed schema makes the other checks meaningless.
     if let Err(e) = after.validate() {
         report
             .violations
             .push(Violation::SchemaInvalid(e.to_string()));
-        report.dispatch_cache = after.dispatch_cache_stats();
-        return report;
+    } else {
+        check_preservation(before, after, &mut report);
+        check_derived(after, derived, projection, applicable, &mut report);
     }
+    report.dispatch_cache = after.dispatch_cache_stats();
+    td_telemetry::metrics::counter("core/invariant_violations").add(report.violations.len() as u64);
+    report
+}
 
-    let originals: Vec<TypeId> = before.live_type_ids().collect();
+/// I1, subtype preservation and I2 (steps 2–5 of the module doc).
+fn check_preservation(before: &Schema, after: &Schema, report: &mut InvariantReport) {
+    let originals = Originals::of(before);
+    let affected = affected_types(before, after);
+    let specs = Specializers::of(before, after);
+    let words = before.n_types().max(after.n_types()).div_ceil(64);
+    let mut dirty = Dirty::default();
+    let mut subtype = Vec::new();
 
-    // I1: cumulative state of original types.
-    for &t in &originals {
-        let b = before.cumulative_attrs(t);
-        let a = after.cumulative_attrs(t);
+    for &t in originals.ids.iter().filter(|t| affected[t.index()]) {
+        let row_b = ancestor_row(before, t, words);
+        let row_a = ancestor_row(after, t, words);
+
+        // I1: cumulative state.
+        let b = row_attrs(before, &row_b);
+        let a = row_attrs(after, &row_a);
         if a != b {
             report.violations.push(Violation::StateChanged {
                 ty: t,
@@ -152,75 +198,87 @@ pub fn check_invariants(
                 extra: a.difference(&b).copied().collect(),
             });
         }
-    }
 
-    // Subtype preservation over original types.
-    let total_pairs = originals.len() * originals.len();
-    let stride = total_pairs.div_ceil(PAIR_BUDGET).max(1);
-    for idx in (0..total_pairs).step_by(stride) {
-        let x = originals[idx / originals.len()];
-        let y = originals[idx % originals.len()];
-        let was = before.is_subtype(x, y);
-        let is = after.is_subtype(x, y);
-        if was != is {
-            report.violations.push(Violation::SubtypeChanged {
-                sub: x,
-                sup: y,
-                before: was,
-                after: is,
-            });
-        }
-    }
-
-    // I2: dispatch over original-type tuples.
-    let n_gfs = before.gf_ids().count();
-    let per_gf_budget = (TOTAL_TUPLE_BUDGET / n_gfs.max(1)).clamp(1, TUPLE_BUDGET);
-    for gf in before.gf_ids() {
-        let arity = before.gf(gf).arity;
-        if arity == 0 || originals.is_empty() {
-            continue;
-        }
-        // Only object-typed tuples are interesting; primitive positions do
-        // not change across factorization. Enumerate type tuples over the
-        // original types, strided to the budget.
-        let total = originals
-            .len()
-            .checked_pow(arity as u32)
-            .unwrap_or(usize::MAX);
-        let stride = total.div_ceil(per_gf_budget).max(1);
-        let mut idx = 0usize;
-        while idx < total {
-            let mut rem = idx;
-            let mut tuple = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                tuple.push(originals[rem % originals.len()]);
-                rem /= originals.len();
+        // Subtype preservation: the rows' differences among originals.
+        for (w, &mask) in originals.mask.iter().enumerate() {
+            for y in bits(w, (row_b[w] ^ row_a[w]) & mask) {
+                subtype.push(Violation::SubtypeChanged {
+                    sub: t,
+                    sup: y,
+                    before: has(&row_b, y),
+                    after: has(&row_a, y),
+                });
             }
-            let args: Vec<CallArg> = tuple.iter().map(|&t| CallArg::Object(t)).collect();
-            let b = before.most_specific(gf, &args);
-            let a = after.most_specific(gf, &args);
-            report.dispatch_tuples_checked += 1;
-            match (b, a) {
-                (Ok(b), Ok(a)) => {
-                    if b != a {
-                        report.violations.push(Violation::DispatchChanged {
-                            gf,
-                            args: tuple,
-                            before: b,
-                            after: a,
-                        });
+        }
+
+        // I2: facts of kept specializers, which only `t`'s two rank
+        // tables can tell apart.
+        let p = originals.pos[t.index()];
+        match (before.specificity_ranks(t), after.specificity_ranks(t)) {
+            (Ok(rb), Ok(ra)) => {
+                let mut facts: BTreeMap<TypeId, [Option<usize>; 2]> = BTreeMap::new();
+                for (side, table) in [rb, ra].iter().enumerate() {
+                    for &(s, rank) in table.iter() {
+                        facts.entry(s).or_default()[side] = Some(rank);
                     }
                 }
-                (Err(e), _) | (_, Err(e)) => {
-                    report
-                        .violations
-                        .push(Violation::SchemaInvalid(format!("dispatch failed: {e}")));
+                for (s, [fb, fa]) in facts {
+                    if let Some(sites) = specs.kept.get(&s) {
+                        report.dispatch_facts_checked += 1;
+                        if fb != fa {
+                            dirty.mark(before, sites, p);
+                        }
+                    }
                 }
             }
-            idx += stride;
+            // A failed lookup leaves `t`'s facts unknown: replay every
+            // tuple with `t` and let dispatch report what it does.
+            _ => {
+                for sites in specs.kept.values() {
+                    dirty.mark(before, sites, p);
+                }
+            }
+        }
+    }
+    report.violations.append(&mut subtype);
+
+    // I2: facts of retargeted specializers, over every original type
+    // below the old or the new one.
+    if !specs.changed.is_empty() {
+        let (down_b, down_a) = (subtypes_index(before), subtypes_index(after));
+        for (&(old, new), sites) in &specs.changed {
+            let mut below = BTreeSet::new();
+            if let Some(s) = old {
+                below.extend(originals.below(&down_b, s));
+            }
+            if let Some(s) = new {
+                below.extend(originals.below(&down_a, s));
+            }
+            for p in below {
+                let t = originals.ids[p];
+                report.dispatch_facts_checked += 1;
+                let differs = match (fact(before, t, old), fact(after, t, new)) {
+                    (Ok(fb), Ok(fa)) => fb != fa,
+                    _ => true,
+                };
+                if differs {
+                    dirty.mark(before, sites, p);
+                }
+            }
         }
     }
 
+    dirty.replay(before, after, &originals.ids, report);
+}
+
+/// I3 and I4: the derived type's state and behavior.
+fn check_derived(
+    after: &Schema,
+    derived: TypeId,
+    projection: &BTreeSet<AttrId>,
+    applicable: &[MethodId],
+    report: &mut InvariantReport,
+) {
     // I3: derived state == projection.
     let derived_attrs = after.cumulative_attrs(derived);
     if &derived_attrs != projection {
@@ -244,15 +302,317 @@ pub fn check_invariants(
             extra: actual.difference(&inferred).copied().collect(),
         });
     }
+}
 
-    report.dispatch_cache = after.dispatch_cache_stats();
-    report
+/// The live types of `before`: the types every guarantee is about.
+struct Originals {
+    /// In id order, which is the exhaustive enumeration's order.
+    ids: Vec<TypeId>,
+    /// Position in `ids`, by type index.
+    pos: Vec<usize>,
+    /// Bit row of the original types.
+    mask: Vec<u64>,
+}
+
+impl Originals {
+    fn of(before: &Schema) -> Originals {
+        let ids: Vec<TypeId> = before.live_type_ids().collect();
+        let mut pos = vec![usize::MAX; before.n_types()];
+        let mut mask = vec![0u64; before.n_types().div_ceil(64)];
+        for (p, &t) in ids.iter().enumerate() {
+            pos[t.index()] = p;
+            mask[t.index() / 64] |= 1 << (t.index() % 64);
+        }
+        Originals { ids, pos, mask }
+    }
+
+    /// Positions of the original types at or below `s`, given the direct
+    /// subtypes of every type of one schema.
+    fn below(&self, down: &[Vec<TypeId>], s: TypeId) -> Vec<usize> {
+        let mut seen = vec![false; down.len()];
+        let mut stack = vec![s];
+        let mut out = Vec::new();
+        while let Some(t) = stack.pop() {
+            if std::mem::replace(&mut seen[t.index()], true) {
+                continue;
+            }
+            if let Some(&p) = self.pos.get(t.index()).filter(|&&p| p != usize::MAX) {
+                out.push(p);
+            }
+            stack.extend(&down[t.index()]);
+        }
+        out
+    }
+}
+
+/// Step 2: `affected[t]` for every live type of `before`.
+fn affected_types(before: &Schema, after: &Schema) -> Vec<bool> {
+    let touched = |t: TypeId| {
+        if !after.is_live(t) {
+            return true;
+        }
+        let (b, a) = (before.type_(t), after.type_(t));
+        b.supers() != a.supers() || b.local_attrs != a.local_attrs || b.origin != a.origin
+    };
+    let n = before.n_types();
+    let mut affected = vec![false; n];
+    // 0 = new, 1 = open, 2 = done: a type is decided after its supers.
+    let mut state = vec![0u8; n];
+    for root in before.live_type_ids() {
+        let mut stack = vec![(root, false)];
+        while let Some((t, supers_done)) = stack.pop() {
+            let i = t.index();
+            if supers_done {
+                affected[i] =
+                    touched(t) || before.type_(t).super_ids().any(|s| affected[s.index()]);
+                state[i] = 2;
+                continue;
+            }
+            if state[i] != 0 {
+                continue;
+            }
+            state[i] = 1;
+            stack.push((t, true));
+            for s in before.type_(t).super_ids() {
+                if state[s.index()] == 0 {
+                    stack.push((s, false));
+                }
+            }
+        }
+    }
+    affected
+}
+
+/// `t` and its ancestors in `schema`, as a bit row of `words` words.
+fn ancestor_row(schema: &Schema, t: TypeId, words: usize) -> Vec<u64> {
+    let mut row = vec![0u64; words];
+    row[t.index() / 64] |= 1 << (t.index() % 64);
+    let mut stack = vec![t];
+    while let Some(x) = stack.pop() {
+        for s in schema.type_(x).super_ids() {
+            if !has(&row, s) {
+                row[s.index() / 64] |= 1 << (s.index() % 64);
+                stack.push(s);
+            }
+        }
+    }
+    row
+}
+
+fn has(row: &[u64], t: TypeId) -> bool {
+    row[t.index() / 64] & (1 << (t.index() % 64)) != 0
+}
+
+/// The types whose bits are set in `word`, word `w` of a row.
+fn bits(w: usize, mut word: u64) -> impl Iterator<Item = TypeId> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            TypeId::from_index(w * 64 + bit)
+        })
+    })
+}
+
+/// The cumulative state of the types in an ancestor row.
+fn row_attrs(schema: &Schema, row: &[u64]) -> BTreeSet<AttrId> {
+    row.iter()
+        .enumerate()
+        .flat_map(|(w, &word)| bits(w, word))
+        .flat_map(|t| schema.type_(t).local_attrs.iter().copied())
+        .collect()
+}
+
+/// The direct subtypes of every type of `schema`, by type index.
+fn subtypes_index(schema: &Schema) -> Vec<Vec<TypeId>> {
+    let mut down = vec![Vec::new(); schema.n_types()];
+    for t in schema.live_type_ids() {
+        for s in schema.type_(t).super_ids() {
+            down[s.index()].push(t);
+        }
+    }
+    down
+}
+
+/// The step-4 fact of specializer `spec` at an argument of type `t`.
+fn fact(schema: &Schema, t: TypeId, spec: Option<TypeId>) -> td_model::Result<Option<usize>> {
+    let Some(s) = spec else {
+        return Ok(None);
+    };
+    let ranks = schema.specificity_ranks(t)?;
+    Ok(ranks.iter().find(|&&(x, _)| x == s).map(|&(_, r)| r))
+}
+
+/// `(generic function, argument position)` pairs of method specializers.
+type Sites = Vec<(GfId, usize)>;
+
+/// Where the methods of `before`'s generic functions specialize, on both
+/// sides of the derivation.
+struct Specializers {
+    /// Specializer → the sites where some method keeps it.
+    kept: HashMap<TypeId, Sites>,
+    /// `(old, new)` → the sites where some method went from `old` to
+    /// `new`; `None` is a side where the method has no fact.
+    changed: BTreeMap<(Option<TypeId>, Option<TypeId>), Sites>,
+}
+
+impl Specializers {
+    fn of(before: &Schema, after: &Schema) -> Specializers {
+        let mut out = Specializers {
+            kept: HashMap::new(),
+            changed: BTreeMap::new(),
+        };
+        for gf in before.gf_ids() {
+            let arity = before.gf(gf).arity;
+            let mut sides: BTreeMap<MethodId, [Option<&[Specializer]>; 2]> = BTreeMap::new();
+            for (side, schema) in [before, after].into_iter().enumerate() {
+                for &m in &schema.gf(gf).methods {
+                    let specs = &schema.method(m).specializers;
+                    let objects =
+                        specs.len() == arity && specs.iter().all(|s| s.as_type().is_some());
+                    sides.entry(m).or_default()[side] = objects.then_some(specs.as_slice());
+                }
+            }
+            for specs in sides.values() {
+                for i in 0..arity {
+                    match specs.map(|s| s.and_then(|s| s[i].as_type())) {
+                        [None, None] => {}
+                        [Some(old), Some(new)] if old == new => {
+                            out.kept.entry(old).or_default().push((gf, i));
+                        }
+                        [old, new] => out.changed.entry((old, new)).or_default().push((gf, i)),
+                    }
+                }
+            }
+        }
+        for sites in out.kept.values_mut().chain(out.changed.values_mut()) {
+            sites.sort_unstable();
+            sites.dedup();
+        }
+        out
+    }
+}
+
+/// Per generic function and argument position, the original types
+/// (as positions) whose facts differ there.
+#[derive(Default)]
+struct Dirty(BTreeMap<GfId, Vec<BTreeSet<usize>>>);
+
+impl Dirty {
+    fn mark(&mut self, before: &Schema, sites: &[(GfId, usize)], p: usize) {
+        for &(gf, i) in sites {
+            let arity = before.gf(gf).arity;
+            self.0
+                .entry(gf)
+                .or_insert_with(|| vec![BTreeSet::new(); arity])[i]
+                .insert(p);
+        }
+    }
+
+    /// Step 5: dispatches every tuple with a dirty type at its dirty
+    /// position on both schemas, generic function by generic function.
+    fn replay(
+        self,
+        before: &Schema,
+        after: &Schema,
+        originals: &[TypeId],
+        report: &mut InvariantReport,
+    ) {
+        let n = originals.len();
+        for (gf, positions) in self.0 {
+            let arity = positions.len();
+            // Keys hold the last argument first, so the set iterates in the
+            // exhaustive enumeration's order (the first argument varies
+            // fastest) and each tuple once.
+            let mut keys: BTreeSet<Vec<usize>> = BTreeSet::new();
+            for (i, dirty) in positions.iter().enumerate() {
+                let fixed = arity - 1 - i;
+                for &p in dirty {
+                    let mut key = vec![0; arity];
+                    key[fixed] = p;
+                    loop {
+                        keys.insert(key.clone());
+                        if !advance(&mut key, fixed, n) {
+                            break;
+                        }
+                    }
+                }
+            }
+            for key in keys {
+                let tuple: Vec<TypeId> = key.iter().rev().map(|&p| originals[p]).collect();
+                report.dispatch_tuples_checked += 1;
+                replay_tuple(before, after, gf, tuple, &mut report.violations);
+            }
+        }
+    }
+}
+
+/// Steps `key` to the next tuple, holding position `fixed`; false once
+/// every tuple was visited.
+fn advance(key: &mut [usize], fixed: usize, n: usize) -> bool {
+    for j in (0..key.len()).rev().filter(|&j| j != fixed) {
+        key[j] += 1;
+        if key[j] < n {
+            return true;
+        }
+        key[j] = 0;
+    }
+    false
+}
+
+/// Dispatches one tuple of original types on both schemas and records a
+/// changed winner or a failed lookup.
+fn replay_tuple(
+    before: &Schema,
+    after: &Schema,
+    gf: GfId,
+    tuple: Vec<TypeId>,
+    violations: &mut Vec<Violation>,
+) {
+    let args: Vec<CallArg> = tuple.iter().map(|&t| CallArg::Object(t)).collect();
+    match (
+        before.most_specific(gf, &args),
+        after.most_specific(gf, &args),
+    ) {
+        (Ok(b), Ok(a)) => {
+            if b != a {
+                violations.push(Violation::DispatchChanged {
+                    gf,
+                    args: tuple,
+                    before: b,
+                    after: a,
+                });
+            }
+        }
+        (Err(e), _) | (_, Err(e)) => {
+            violations.push(Violation::SchemaInvalid(format!("dispatch failed: {e}")));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use td_model::ValueType;
+    use std::sync::{Mutex, MutexGuard};
+    use td_model::{MethodKind, ValueType};
+
+    /// Tests run in parallel and share the global violation counter, so
+    /// every check in this module runs under one lock.
+    fn counter_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn check(
+        before: &Schema,
+        after: &Schema,
+        derived: TypeId,
+        projection: &BTreeSet<AttrId>,
+        applicable: &[MethodId],
+    ) -> InvariantReport {
+        let _guard = counter_lock();
+        check_invariants(before, after, derived, projection, applicable)
+    }
 
     #[test]
     fn identical_schemas_pass_trivially() {
@@ -265,9 +625,12 @@ mod tests {
         // applicable = both accessors.
         let methods: Vec<MethodId> = s.method_ids().collect();
         let proj: BTreeSet<AttrId> = [x].into_iter().collect();
-        let report = check_invariants(&before, &s, a, &proj, &methods);
+        let report = check(&before, &s, a, &proj, &methods);
         assert!(report.ok(), "{:?}", report.violations);
-        assert!(report.dispatch_tuples_checked > 0);
+        // Nothing was touched or retargeted: no fact can differ, so no
+        // fact is compared and no tuple is replayed.
+        assert_eq!(report.dispatch_facts_checked, 0);
+        assert_eq!(report.dispatch_tuples_checked, 0);
     }
 
     #[test]
@@ -275,24 +638,87 @@ mod tests {
         let mut s = Schema::new();
         let a = s.add_type("A", &[]).unwrap();
         let b = s.add_type("B", &[a]).unwrap();
+        let c = s.add_type("C", &[b]).unwrap();
         let x = s.add_attr("x", ValueType::INT, a).unwrap();
-        let y = s.add_attr("y", ValueType::INT, a).unwrap();
-        // Two methods per generic function so the replay must consult rank
-        // tables (single-method dispatch short-circuits without them).
-        s.add_reader(x, a).unwrap();
-        s.add_reader(x, b).unwrap();
-        s.add_reader(y, a).unwrap();
-        s.add_reader(y, b).unwrap();
+        // Two methods in one generic function so the replay must consult
+        // rank tables (single-method dispatch short-circuits without them).
+        let (get_x, on_a) = s.add_reader(x, a).unwrap();
+        let (_, on_b) = s.add_reader(x, b).unwrap();
         let before = s.clone();
-        let methods: Vec<MethodId> = s.method_ids().collect();
-        let proj: BTreeSet<AttrId> = [x, y].into_iter().collect();
-        let report = check_invariants(&before, &s, b, &proj, &methods);
-        assert!(report.ok(), "{:?}", report.violations);
-        // Each (gf, tuple) pair is a fresh dispatch entry, but the second
-        // generic function's replay reuses the rank tables the first one
-        // built — the cache counters must show that.
-        assert!(report.dispatch_cache.dispatch_misses > 0);
+        // Retarget the B method to C: B now dispatches to the A method.
+        s.method_mut(on_b).specializers = vec![Specializer::Type(c)];
+        let report = check(&before, &s, c, &[x].into_iter().collect(), &[on_a, on_b]);
+        assert_eq!(
+            report.violations,
+            vec![Violation::DispatchChanged {
+                gf: get_x,
+                args: vec![b],
+                before: Some(on_b),
+                after: Some(on_a),
+            }]
+        );
+        // B and C both have a differing fact (C now ranks the method's
+        // specializer at 0 instead of 1), so both tuples are replayed
+        // through the after schema's dispatch cache; C keeps its winner.
+        assert_eq!(report.dispatch_tuples_checked, 2);
+        assert!(report.dispatch_cache.dispatch_misses >= 2);
         assert!(report.dispatch_cache.cpl_hits > 0);
+    }
+
+    #[test]
+    fn violations_move_the_registry_counter_by_the_report_count() {
+        let mut s = Schema::new();
+        let a = s.add_type("A", &[]).unwrap();
+        let b = s.add_type("B", &[a]).unwrap();
+        let x = s.add_attr("x", ValueType::INT, a).unwrap();
+        let before = s.clone();
+        s.move_attr(x, b).unwrap();
+        let counter = || td_telemetry::metrics::counter("core/invariant_violations").get();
+        let _guard = counter_lock();
+        let at_start = counter();
+        let report = check_invariants(&before, &s, b, &BTreeSet::new(), &[]);
+        assert!(!report.ok());
+        assert_eq!(counter() - at_start, report.violations.len() as u64);
+    }
+
+    #[test]
+    fn retired_original_type_is_replayed() {
+        let mut s = Schema::new();
+        let a = s.add_type("A", &[]).unwrap();
+        let b = s.add_type("B", &[a]).unwrap();
+        let f = s.add_gf("f", 1, None).unwrap();
+        let on_a = s
+            .add_method(
+                f,
+                "f_a",
+                vec![Specializer::Type(a)],
+                MethodKind::General(Default::default()),
+                None,
+            )
+            .unwrap();
+        let before = s.clone();
+        s.remove_super_edge(b, a);
+        s.retire_type(b).unwrap();
+        // B has no rank table after: its facts are unknown, so its tuple
+        // is replayed and dispatch reports the change.
+        let report = check(&before, &s, a, &BTreeSet::new(), &[on_a]);
+        assert_eq!(
+            report.violations,
+            vec![
+                Violation::SubtypeChanged {
+                    sub: b,
+                    sup: a,
+                    before: true,
+                    after: false,
+                },
+                Violation::DispatchChanged {
+                    gf: f,
+                    args: vec![b],
+                    before: Some(on_a),
+                    after: None,
+                },
+            ]
+        );
     }
 
     #[test]
@@ -304,7 +730,7 @@ mod tests {
         let before = s.clone();
         // Maliciously move x down to B: A loses state.
         s.move_attr(x, b).unwrap();
-        let report = check_invariants(&before, &s, b, &BTreeSet::new(), &[]);
+        let report = check(&before, &s, b, &BTreeSet::new(), &[]);
         assert!(report
             .violations
             .iter()
@@ -318,7 +744,7 @@ mod tests {
         let b = s.add_type("B", &[a]).unwrap();
         let before = s.clone();
         s.remove_super_edge(b, a);
-        let report = check_invariants(&before, &s, b, &BTreeSet::new(), &[]);
+        let report = check(&before, &s, b, &BTreeSet::new(), &[]);
         assert!(report
             .violations
             .iter()
@@ -332,7 +758,7 @@ mod tests {
         let x = s.add_attr("x", ValueType::INT, a).unwrap();
         let before = s.clone();
         // Claim projection {} but the "derived type" A still has x.
-        let report = check_invariants(&before, &s, a, &BTreeSet::new(), &[]);
+        let report = check(&before, &s, a, &BTreeSet::new(), &[]);
         assert!(report
             .violations
             .iter()
@@ -348,7 +774,7 @@ mod tests {
         let before = s.clone();
         // Claim nothing is applicable, but the reader applies to A.
         let proj: BTreeSet<AttrId> = [x].into_iter().collect();
-        let report = check_invariants(&before, &s, a, &proj, &[]);
+        let report = check(&before, &s, a, &proj, &[]);
         assert!(report.violations.iter().any(
             |v| matches!(v, Violation::DerivedBehaviorWrong { extra, .. } if extra == &vec![m])
         ));

@@ -121,8 +121,8 @@ fn lint_schema_part(schema: &Schema) -> LintReport {
 }
 
 /// TDL002 (wiring half): every live surrogate must sit above its source
-/// in the hierarchy, or factored accessors stop being inherited and the
-/// I2 replay breaks.
+/// in the hierarchy, or factored accessors stop being inherited and I2
+/// fails: the source's dispatch facts change.
 fn check_surrogate_wiring(schema: &Schema, diags: &mut Vec<Diagnostic>) {
     for t in schema.live_type_ids() {
         let node = schema.type_(t);

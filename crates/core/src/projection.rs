@@ -228,8 +228,9 @@ impl Derivation {
         if let Some(r) = &self.invariants {
             let _ = writeln!(
                 out,
-                "invariants:     {} ({} dispatch tuples checked)",
+                "invariants:     {} ({} dispatch facts compared, {} tuples replayed)",
                 if r.ok() { "all hold" } else { "VIOLATED" },
+                r.dispatch_facts_checked,
                 r.dispatch_tuples_checked
             );
         }

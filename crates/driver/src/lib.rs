@@ -847,8 +847,9 @@ mod tests {
         assert!(outcome.stats.stages.total() > Duration::ZERO);
         assert!(outcome.stats.cpu_time >= outcome.stats.stages.total());
         assert!(outcome.stats.wall_clock > Duration::ZERO);
-        // The invariant replay dispatches plenty; the rollup must see it.
-        assert!(outcome.stats.cache.dispatch_hits + outcome.stats.cache.dispatch_misses > 0);
+        // I5 validation and the I2 facts read the CPL memo of every
+        // derived schema; the rollup must see it.
+        assert!(outcome.stats.cache.cpl_hits + outcome.stats.cache.cpl_misses > 0);
         let text = outcome.stats.to_string();
         assert!(text.contains("3 requests"));
         assert!(text.contains("stages:"));

@@ -1,15 +1,15 @@
 //! The dispatch acceleration layer: memoized CPLs and a delta-invalidated
 //! dispatch-table cache.
 //!
-//! Multi-method dispatch is the repository's hot loop. The I2 invariant
-//! replay (`td-core`) re-dispatches every pre-existing call tuple after a
-//! refactoring pass, and the `IsApplicable` call-graph walk re-scans a
-//! generic function's methods at every call site. Uncached, each
-//! `most_specific` call recomputes class precedence lists (a topological
-//! sort over the ancestor DAG, per argument) and rescans every method of
-//! the generic function — O(calls × methods × hierarchy). The standard fix
-//! in the multi-method literature is dispatch-table precomputation; this
-//! module implements the lazy variant of it:
+//! Multi-method dispatch is the repository's hot loop. The
+//! `IsApplicable` call-graph walk re-scans a generic function's methods
+//! at every call site, and the I2 invariant check (`td-core`) reads the
+//! collapsed rank tables of every type a derivation touched. Uncached,
+//! each `most_specific` call recomputes class precedence lists (a
+//! topological sort over the ancestor DAG, per argument) and rescans every
+//! method of the generic function — O(calls × methods × hierarchy). The
+//! standard fix in the multi-method literature is dispatch-table
+//! precomputation; this module implements the lazy variant of it:
 //!
 //! * **CPL memo** — `cpl(t)` and the collapsed specificity ranks derived
 //!   from it are computed once per type per schema *generation* and shared

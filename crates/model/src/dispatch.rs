@@ -235,6 +235,15 @@ impl Schema {
         Ok(out)
     }
 
+    /// The rank table dispatch orders methods by at an argument of type
+    /// `t`: every type of `t`'s CPL with its surrogate-collapsed rank
+    /// (0 = most specific). A specializer appears in it iff `t` is below
+    /// it. Served from the CPL memo. Exposed for the invariant checker,
+    /// which compares these tables instead of replaying call tuples.
+    pub fn specificity_ranks(&self, t: TypeId) -> Result<Arc<Vec<(TypeId, usize)>>> {
+        self.cached_ranks(t)
+    }
+
     /// The methods of `gf` applicable to the call, ranked most-specific
     /// first by left-to-right argument CPL comparison (with surrogate
     /// collapse — see `Schema::collapsed_ranks`'s source). Ties keep

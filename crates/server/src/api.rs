@@ -101,6 +101,9 @@ pub struct RequestRecord {
     pub cache_hits: u64,
     /// Cache misses charged while the request ran.
     pub cache_misses: u64,
+    /// I1–I5 violations the request's derivations reported (registry
+    /// `core/invariant_violations` counter movement).
+    pub invariant_violations: u64,
 }
 
 impl RequestRecord {
@@ -108,7 +111,8 @@ impl RequestRecord {
         format!(
             "{{\"trace\": {}, \"tenant\": {}, \"endpoint\": {}, \"method\": {}, \
              \"path\": {}, \"status\": {}, \"queue_us\": {}, \"exec_us\": {}, \
-             \"total_us\": {}, \"cache_hits\": {}, \"cache_misses\": {}}}",
+             \"total_us\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
+             \"invariant_violations\": {}}}",
             quote(&self.trace),
             quote(&self.tenant),
             quote(&self.endpoint),
@@ -120,6 +124,7 @@ impl RequestRecord {
             self.total_us,
             self.cache_hits,
             self.cache_misses,
+            self.invariant_violations,
         )
     }
 }
@@ -137,6 +142,12 @@ fn cache_counts() -> (u64, u64) {
         .map(|k| counter(&format!("cache/{k}_misses")).get())
         .sum();
     (hits, misses)
+}
+
+/// The registry's I1–I5 violation total, which every served derivation
+/// adds to; the flight recorder charges a request with its movement.
+fn invariant_violations() -> u64 {
+    td_telemetry::metrics::counter("core/invariant_violations").get()
 }
 
 /// The server's request-independent state: the tenant registry plus
@@ -228,6 +239,7 @@ impl Api {
         let endpoint = endpoint_key(method, path);
         let scope = ctx.trace.map(td_telemetry::trace_scope);
         let cache_before = cache_counts();
+        let violations_before = invariant_violations();
         let result = self.route(method, path, query, body);
         let end_ns = td_telemetry::now_ns();
         let elapsed_us = started.elapsed().as_micros() as u64;
@@ -290,6 +302,7 @@ impl Api {
                 total_us,
                 cache_hits: cache_after.0.saturating_sub(cache_before.0),
                 cache_misses: cache_after.1.saturating_sub(cache_before.1),
+                invariant_violations: invariant_violations().saturating_sub(violations_before),
             };
             let mut recorder = self.recorder.lock().unwrap_or_else(|e| e.into_inner());
             if recorder.len() >= FLIGHT_RECORDER_CAPACITY {
@@ -1407,6 +1420,45 @@ mod tests {
         let after = doc.as_obj().unwrap()["requests"].as_arr().unwrap().len();
         // The debug GET above was itself untraced too.
         assert_eq!(after, before);
+    }
+
+    #[test]
+    fn invariant_violations_reach_the_flight_recorder_and_metrics() {
+        let api = Api::new();
+        let ctx = RequestCtx {
+            trace: Some(TraceId::generate()),
+            tenant: None,
+            queue_us: 0,
+        };
+        let r = api.handle_with(
+            "POST",
+            "/v1/project",
+            "",
+            project_body(&inline_schema_field()).as_bytes(),
+            &ctx,
+        );
+        assert_eq!(r.status, 200, "{}", r.body);
+
+        let dbg = api.handle("GET", "/v1/debug/requests", "", b"");
+        let doc = Json::parse(&dbg.body).unwrap();
+        let rows = doc.as_obj().unwrap()["requests"].as_arr().unwrap();
+        let row = rows[0].as_obj().unwrap();
+        assert_eq!(row["endpoint"].as_str(), Some("project"));
+        assert_eq!(row["invariant_violations"].as_usize(), Some(0));
+
+        // Server tests derive cleanly only, so the process-wide total is 0.
+        let prom = api.handle("GET", "/metrics", "", b"");
+        assert!(
+            prom.body.contains("\ncore_invariant_violations 0\n"),
+            "{}",
+            prom.body
+        );
+        let json = api.handle("GET", "/metrics", "format=json", b"");
+        assert!(
+            json.body.contains("\"core/invariant_violations\": 0"),
+            "{}",
+            json.body
+        );
     }
 
     #[test]
