@@ -51,6 +51,18 @@
 //! exported as [`DispatchCacheStats`] through
 //! [`Schema::dispatch_cache_stats`], the CLI `explain` path and the
 //! invariant report.
+//!
+//! ## Bounded report maps
+//!
+//! The lint and deep-analysis reports are keyed by request: a `(source,
+//! projection)` pair, plus a precision for analyses. A registered server
+//! schema answers every read on one shared snapshot, so a client that
+//! varies the projection would grow these maps without limit. Each map
+//! holds at most `MAX_CACHED_REPORTS` (1024) entries: a store that would
+//! exceed it first drops that map's request-keyed entries. The
+//! schema-wide reports (`None` part) stay, since every request reuses
+//! them. The other maps are bounded by the schema itself (one entry per
+//! type, or per generic function and argument tuple a body calls).
 
 use crate::appindex::{AnalysisPrecision, ApplicabilityIndex};
 use crate::delta::{CarryReport, SchemaDelta, SchemaDiff};
@@ -79,6 +91,23 @@ pub type LintKey = Option<(TypeId, Vec<AttrId>)>;
 /// Key of the cached deep-analysis reports (td-analyze): the same
 /// two-part shape as [`LintKey`] plus the precision the analyses ran at.
 pub type AnalysisKey = (LintKey, AnalysisPrecision);
+
+/// Most entries the lint map, and separately the analysis map, holds
+/// (see "Bounded report maps" above).
+pub(crate) const MAX_CACHED_REPORTS: usize = 1024;
+
+/// Makes room for one more report under `new_key`: when `map` is full,
+/// drops its request-keyed entries (`is_request`), keeping the
+/// schema-wide ones.
+fn make_room_for_report<K: Eq + std::hash::Hash, V>(
+    map: &mut HashMap<K, V>,
+    new_key: &K,
+    is_request: impl Fn(&K) -> bool,
+) {
+    if map.len() >= MAX_CACHED_REPORTS && !map.contains_key(new_key) {
+        map.retain(|k, _| !is_request(k));
+    }
+}
 
 /// Deltas recorded since the last refresh, folded into the per-kind sets
 /// the dirty closure starts from.
@@ -724,9 +753,12 @@ impl Schema {
 
     /// Stores a deep-analysis report under `key` for the current
     /// generation, so snapshot forks and batch workers share the result.
+    /// The map holds at most 1024 reports; a store past that drops the
+    /// request-keyed ones first.
     pub fn store_analysis_report(&self, key: AnalysisKey, report: Arc<LintReport>) {
         let mut inner = self.cache.lock();
         inner.refresh(self);
+        make_room_for_report(&mut inner.analysis, &key, |(part, _)| part.is_some());
         inner.analysis.insert(key, report);
     }
 
@@ -750,10 +782,13 @@ impl Schema {
     }
 
     /// Stores a lint report under `key` for the current generation, so
-    /// snapshot forks and batch workers share the analysis.
+    /// snapshot forks and batch workers share the analysis. The map holds
+    /// at most 1024 reports; a store past that drops the request-keyed
+    /// ones first.
     pub fn store_lint_report(&self, key: LintKey, report: Arc<LintReport>) {
         let mut inner = self.cache.lock();
         inner.refresh(self);
+        make_room_for_report(&mut inner.lint, &key, Option::is_some);
         inner.lint.insert(key, report);
     }
 }
@@ -988,6 +1023,48 @@ mod tests {
         .unwrap();
         assert!(s.cached_lint_report(&key).is_none());
         assert_eq!(s.dispatch_cache_stats().lint_entries, 0);
+    }
+
+    #[test]
+    fn request_keyed_reports_stay_bounded() {
+        use crate::appindex::AnalysisPrecision;
+        use crate::cache::{LintKey, MAX_CACHED_REPORTS};
+        use crate::diag::LintReport;
+        use crate::ids::AttrId;
+        use std::sync::Arc;
+        let (s, a, _b, _f, _f_a) = base();
+        let report = Arc::new(LintReport::new(vec![]));
+        let schema_wide: LintKey = None;
+        s.store_lint_report(schema_wide.clone(), Arc::clone(&report));
+        s.store_analysis_report(
+            (schema_wide.clone(), AnalysisPrecision::Syntactic),
+            Arc::clone(&report),
+        );
+        // One distinct projection per store, as a client varying its
+        // request would send.
+        let request = |i: usize| -> LintKey { Some((a, vec![AttrId::from_index(i)])) };
+        for i in 0..=MAX_CACHED_REPORTS {
+            s.store_lint_report(request(i), Arc::clone(&report));
+            s.store_analysis_report(
+                (request(i), AnalysisPrecision::Semantic),
+                Arc::clone(&report),
+            );
+            let stats = s.dispatch_cache_stats();
+            assert!(stats.lint_entries <= MAX_CACHED_REPORTS, "{stats:?}");
+            assert!(stats.analysis_entries <= MAX_CACHED_REPORTS, "{stats:?}");
+        }
+        // The schema-wide reports and the newest request survive.
+        assert!(s.cached_lint_report(&schema_wide).is_some());
+        assert!(s
+            .cached_analysis_report(&(schema_wide, AnalysisPrecision::Syntactic))
+            .is_some());
+        let newest = request(MAX_CACHED_REPORTS);
+        assert!(s.cached_lint_report(&newest).is_some());
+        assert!(s
+            .cached_analysis_report(&(newest, AnalysisPrecision::Semantic))
+            .is_some());
+        // The store that overflowed dropped the older request entries.
+        assert!(s.cached_lint_report(&request(0)).is_none());
     }
 
     #[test]

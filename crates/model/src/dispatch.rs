@@ -58,9 +58,28 @@ impl Schema {
     /// All methods (of any generic function) applicable to the type `t`,
     /// in method-id order. These are the candidates `IsApplicable` tests
     /// for a projection over `t`.
+    ///
+    /// §4's "some specializer is a supertype of `t`" is one walk up `t`'s
+    /// ancestors: mark `t` and every type its raw supertype edges reach,
+    /// then keep each method with a specializer on a marked type. That is
+    /// one DFS plus one pass over the methods, where testing each method
+    /// with [`Schema::method_applicable_to_type`] runs a DFS per
+    /// specializer. The walk reads edges, not the CPL, so a type with
+    /// inconsistent precedence (no CPL) still gets an answer. A
+    /// specializer id outside the type arena is above nothing, as it is
+    /// for `is_subtype`.
     pub fn methods_applicable_to_type(&self, t: TypeId) -> Vec<MethodId> {
+        let mut above = vec![false; self.n_types()];
+        above[t.index()] = true;
+        for a in self.ancestors(t) {
+            above[a.index()] = true;
+        }
         self.method_ids()
-            .filter(|&m| self.method_applicable_to_type(m, t))
+            .filter(|&m| {
+                self.method(m)
+                    .type_specializers()
+                    .any(|(_, s)| above.get(s.index()) == Some(&true))
+            })
             .collect()
     }
 

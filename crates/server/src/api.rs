@@ -27,6 +27,13 @@
 //! or `"schema_text"` — inline text, parsed fresh per request (the cold
 //! path). The warm/cold split is the registry's reason to exist; the
 //! gated `ratio_serve_warm_vs_cold` metric keeps it honest.
+//!
+//! The reads (`applicable`, `lint`, `analyze`, `explain`) never change
+//! the schema, only its interior caches, so they answer on the registered
+//! snapshot itself (`Api::read_schema`) and what they compute stays cached
+//! there until a PUT replaces it. Only `project` forks: a derivation
+//! mutates the schema it runs on. `batch` forks per request inside the
+//! batch deriver.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use td_core::{explain, project, Derivation, ProjectionOptions};
-use td_model::{parse_schema_lenient, AnalysisPrecision, AttrId, Schema, TypeId};
+use td_model::{parse_schema_lenient, AnalysisPrecision, AttrId, Schema, SchemaSnapshot, TypeId};
 use td_telemetry::json::{quote, str_array, Json};
 use td_telemetry::TraceId;
 
@@ -626,16 +633,18 @@ impl Api {
         }
     }
 
-    /// The schema a compute request runs against: a fork of the warm
-    /// registered snapshot, or a freshly parsed inline text. `warm_for`
-    /// charges the shared snapshot's caches before forking so the next
-    /// request over the same registered schema starts warm.
-    fn resolve(&self, req: &ComputeRequest, source_name: Option<&str>) -> Result<Schema, ApiError> {
+    /// The schema a request owns: a fork of the warm registered snapshot,
+    /// or a freshly parsed inline text. Only `project` forks, because a
+    /// derivation mutates its schema; `warm_for` charges the shared
+    /// snapshot's caches for the request's `type` first, so the next
+    /// derivation from that source starts warm. Reads borrow instead
+    /// ([`Api::read_schema`]), and `batch` comes here for inline text only.
+    fn resolve(&self, req: &ComputeRequest) -> Result<Schema, ApiError> {
         match (&req.schema, &req.schema_text) {
             (Some(name), None) => {
                 let entry = self.lookup(&req.tenant, name)?;
-                if let Some(source_name) = source_name {
-                    if let Ok(source) = entry.snapshot.schema().type_id(source_name) {
+                if let Some(ty) = req.ty.as_deref() {
+                    if let Ok(source) = entry.snapshot.schema().type_id(ty) {
                         entry.warm_for(source);
                     }
                 }
@@ -649,6 +658,17 @@ impl Api {
             .map_err(|e| bad(format!("schema_text does not parse: {e}"))),
             (Some(_), Some(_)) => Err(bad("give `schema` or `schema_text`, not both")),
             (None, None) => Err(bad("missing schema: give `schema` or `schema_text`")),
+        }
+    }
+
+    /// The schema a read answers on: the registered snapshot itself (a
+    /// handle, with no fork and no `warm_for`), so its caches keep what
+    /// the read computes until a PUT replaces it; or a freshly parsed
+    /// inline text, dropped with the request.
+    fn read_schema(&self, req: &ComputeRequest) -> Result<SchemaSnapshot, ApiError> {
+        match (&req.schema, &req.schema_text) {
+            (Some(name), None) => Ok(self.lookup(&req.tenant, name)?.snapshot.clone()),
+            _ => self.resolve(req).map(Schema::into_snapshot),
         }
     }
 
@@ -668,7 +688,7 @@ impl Api {
     }
 
     fn project(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
-        let mut schema = self.resolve(req, req.ty.as_deref())?;
+        let mut schema = self.resolve(req)?;
         let (source, projection) = self.view(&schema, req)?;
         let d = project(
             &mut schema,
@@ -681,7 +701,7 @@ impl Api {
     }
 
     fn applicable(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
-        let schema = self.resolve(req, req.ty.as_deref())?;
+        let schema = self.read_schema(req)?;
         let (source, projection) = self.view(&schema, req)?;
         let r = td_core::compute_applicability_indexed(&schema, source, &projection, false)
             .map_err(|e| bad(e.to_string()))?;
@@ -699,7 +719,7 @@ impl Api {
     }
 
     fn lint(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
-        let schema = self.resolve(req, req.ty.as_deref())?;
+        let schema = self.read_schema(req)?;
         let view = if req.ty.is_some() {
             Some(self.view(&schema, req)?)
         } else {
@@ -710,27 +730,14 @@ impl Api {
     }
 
     fn analyze(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
-        // Unlike the derivation endpoints, analysis never mutates the
-        // schema — only its interior-mutability caches. Registered
-        // schemas therefore run against the shared warm snapshot itself
-        // (not a fork), so the analysis reports persist across requests
-        // and a delta re-registration carries whatever stays valid.
-        let shared;
-        let fresh;
-        let schema: &Schema = if let (Some(name), None) = (&req.schema, &req.schema_text) {
-            shared = self.lookup(&req.tenant, name)?;
-            shared.snapshot.schema()
-        } else {
-            fresh = self.resolve(req, req.ty.as_deref())?;
-            &fresh
-        };
+        let schema = self.read_schema(req)?;
         let view = if req.ty.is_some() {
-            Some(self.view(schema, req)?)
+            Some(self.view(&schema, req)?)
         } else {
             None
         };
         let outcome =
-            td_analyze::analyze(schema, view.as_ref().map(|(t, a)| (*t, a)), req.precision);
+            td_analyze::analyze(&schema, view.as_ref().map(|(t, a)| (*t, a)), req.precision);
         if req.format.as_deref() == Some("sarif") {
             return Ok(Response::json(
                 200,
@@ -758,7 +765,7 @@ impl Api {
     }
 
     fn explain(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
-        let schema = self.resolve(req, req.ty.as_deref())?;
+        let schema = self.read_schema(req)?;
         let (source, projection) = self.view(&schema, req)?;
         let label = req
             .method
@@ -790,7 +797,7 @@ impl Api {
                 let entry = self.lookup(&req.tenant, name)?;
                 td_driver::BatchDeriver::from_snapshot(entry.snapshot.clone())
             }
-            _ => td_driver::BatchDeriver::new(&self.resolve(req, None)?),
+            _ => td_driver::BatchDeriver::new(&self.resolve(req)?),
         };
         let base = deriver.snapshot().clone();
         // The same located-error parser `tdv batch` uses: a bad line
@@ -1179,6 +1186,62 @@ mod tests {
         assert_eq!(batch.status, 200, "{}", batch.body);
         let doc = Json::parse(&batch.body).unwrap();
         assert_eq!(doc.as_obj().unwrap()["ok"].as_usize(), Some(2));
+    }
+
+    #[test]
+    fn reads_cache_on_the_registered_snapshot() {
+        let api = Api::new();
+        api.handle("PUT", "/v1/tenants/t/schemas/s", "", FIG.as_bytes());
+        let entry = api.registry.get("t", "s").unwrap();
+        let lint_hits = || entry.snapshot.schema().dispatch_cache_stats().lint_hits;
+        let body = concat!(
+            "{\"tenant\": \"t\", \"schema\": \"s\", \"type\": \"Employee\", ",
+            "\"attrs\": [\"SSN\", \"pay_rate\"]}"
+        );
+        let first = api.handle("POST", "/v1/lint", "", body.as_bytes());
+        assert_eq!(first.status, 200, "{}", first.body);
+        let after_first = lint_hits();
+        let second = api.handle("POST", "/v1/lint", "", body.as_bytes());
+        assert_eq!(second.body, first.body);
+        // The second lint answers from the reports the first one left on
+        // the shared snapshot; a per-request copy would have dropped them.
+        assert!(
+            lint_hits() > after_first,
+            "{after_first} -> {}",
+            lint_hits()
+        );
+    }
+
+    #[test]
+    fn reads_by_name_match_reads_of_the_same_text() {
+        let api = Api::new();
+        api.handle("PUT", "/v1/tenants/t/schemas/s", "", FIG.as_bytes());
+        let views = [
+            ("applicable", "\"type\": \"Employee\", \"attrs\": [\"SSN\", \"pay_rate\"]"),
+            ("applicable", "\"type\": \"Person\", \"attrs\": [\"date_of_birth\"]"),
+            ("lint", "\"type\": \"Employee\", \"attrs\": [\"SSN\"]"),
+            ("lint", "\"type\": \"Person\", \"attrs\": []"),
+            (
+                "explain",
+                "\"type\": \"Employee\", \"attrs\": [\"SSN\"], \"method\": \"age\"",
+            ),
+            (
+                "explain",
+                "\"type\": \"Employee\", \"attrs\": [\"pay_rate\", \"hrs_worked\"], \"method\": \"pay\"",
+            ),
+        ];
+        // Twice over: the second pass answers from warm caches.
+        for _ in 0..2 {
+            for (verb, view) in views {
+                let path = format!("/v1/{verb}");
+                let by_name = format!("{{\"tenant\": \"t\", \"schema\": \"s\", {view}}}");
+                let by_text = format!("{{{}, {view}}}", inline_schema_field());
+                let named = api.handle("POST", &path, "", by_name.as_bytes());
+                let inline = api.handle("POST", &path, "", by_text.as_bytes());
+                assert_eq!(named.status, 200, "{verb} {view}: {}", named.body);
+                assert_eq!(named.body, inline.body, "{verb} {view}");
+            }
+        }
     }
 
     #[test]

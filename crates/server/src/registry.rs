@@ -3,11 +3,14 @@
 //! Tenants register named schema texts (`PUT
 //! /v1/tenants/{t}/schemas/{name}`); each registration parses the text
 //! once into a warm [`SchemaSnapshot`] and bumps a monotonic version.
-//! Derivation requests that name a registered schema fork the shared
-//! snapshot, so the CPL memo, dispatch cache and applicability index
-//! warmed by earlier requests are inherited instead of rebuilt — the
-//! warm-path advantage the `ratio_serve_warm_vs_cold` repro metric
-//! gates. Re-registering a name swaps in a brand-new snapshot, but not a
+//! Reads that name a registered schema (`applicable`, `lint`, `analyze`,
+//! `explain`) answer on the shared snapshot itself, so what they compute
+//! stays cached there for every later request. Derivations mutate, so
+//! they fork the snapshot after [`SchemaEntry::warm_for`], and the CPL
+//! memo, dispatch cache and applicability index warmed by earlier
+//! requests are inherited instead of rebuilt — the warm-path advantage
+//! the `ratio_serve_warm_vs_cold` repro metric gates. Re-registering a
+//! name swaps in a brand-new snapshot, but not a
 //! brand-new cache: the registry diffs the new text's schema against the
 //! previous version ([`td_model::diff_schemas`]) and, when every
 //! surviving entity keeps its id slot, carries the warm entries whose
@@ -38,11 +41,13 @@ pub struct SchemaEntry {
 }
 
 impl SchemaEntry {
-    /// Warms the shared snapshot for derivations from `source`: CPLs for
-    /// every live type plus the applicability condensation index. Caches
-    /// live on the snapshot, not the fork, so the warmth persists across
-    /// requests — this is the line between the registry's warm path and
-    /// an inline `schema_text` request's cold path.
+    /// Warms the shared snapshot for a derivation from `source`, before
+    /// it forks: CPLs for every live type plus the applicability
+    /// condensation index. Caches live on the snapshot, not the fork, so
+    /// the warmth persists across requests — this is the line between the
+    /// registry's warm path and an inline `schema_text` request's cold
+    /// path. The server calls it for derivations only; reads run on the
+    /// snapshot and fill its caches as they go.
     pub fn warm_for(&self, source: TypeId) {
         for t in self.snapshot.live_type_ids() {
             let _ = self.snapshot.cpl(t);

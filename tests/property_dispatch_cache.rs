@@ -4,12 +4,15 @@
 //! `rank_applicable`, `most_specific`) must agree with its `_uncached`
 //! ground-truth twin on randomized schemas — when the cache is cold, when
 //! it is warm, and after mutations (a full projection derivation) that
-//! invalidate it via the generation counter.
+//! invalidate it via the generation counter. The one-pass
+//! `methods_applicable_to_type` scan, which every index build starts
+//! from, is held to its per-method filter the same way.
 
 use proptest::prelude::*;
-use typederive::derive::{project, ProjectionOptions};
+use std::collections::BTreeSet;
+use typederive::derive::{minimize_surrogates, project, ProjectionOptions};
 use typederive::driver::{BatchDeriver, BatchRequest};
-use typederive::model::{CallArg, Schema, TypeId};
+use typederive::model::{CallArg, MethodId, Schema, TypeId};
 use typederive::workload::{
     batch_requests, deepest_type, random_projection, random_schema, GenParams,
 };
@@ -107,8 +110,68 @@ fn assert_cache_transparent(schema: &Schema) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The one-pass scan against `method_applicable_to_type` per method, for
+/// every type id (retired ones included), as lists in method-id order.
+fn assert_scan_matches_filter(schema: &Schema) -> Result<(), TestCaseError> {
+    for t in (0..schema.n_types()).map(TypeId::from_index) {
+        let filtered: Vec<MethodId> = schema
+            .method_ids()
+            .filter(|&m| schema.method_applicable_to_type(m, t))
+            .collect();
+        prop_assert_eq!(
+            schema.methods_applicable_to_type(t),
+            filtered,
+            "scan diverged for type {}",
+            t
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn one_pass_applicable_scan_matches_the_per_method_filter(
+        params in params_strategy(),
+        depth in 1usize..4,
+        keep in 0.3f64..1.0,
+        proj_seed in any::<u64>(),
+    ) {
+        let mut schema = random_schema(&params);
+        assert_scan_matches_filter(&schema)?;
+
+        // Stacked projections: each splits its source and puts
+        // surrogates above it, and methods move onto the surrogates.
+        let mut source = deepest_type(&schema);
+        let mut views = BTreeSet::new();
+        for k in 0..depth {
+            let projection =
+                random_projection(&schema, source, keep, proj_seed.wrapping_add(k as u64));
+            if projection.is_empty() {
+                break;
+            }
+            let d = project(&mut schema, source, &projection, &ProjectionOptions::fast())
+                .unwrap();
+            views.insert(d.derived);
+            source = d.derived;
+            assert_scan_matches_filter(&schema)?;
+        }
+
+        // Minimization retires surrogates; their ids stay allocated.
+        minimize_surrogates(&mut schema, &views).unwrap();
+        assert_scan_matches_filter(&schema)?;
+
+        // `R` below `P: (a, X)` and `Q: (X, a)` has no consistent
+        // precedence, hence no CPL; the scans still answer for it.
+        let a = deepest_type(&schema);
+        let x = schema.add_type("Inc_X", &[]).unwrap();
+        let p = schema.add_type("Inc_P", &[a, x]).unwrap();
+        let q = schema.add_type("Inc_Q", &[x, a]).unwrap();
+        let r = schema.add_type("Inc_R", &[p, q]).unwrap();
+        prop_assert!(schema.cpl(r).is_err());
+        assert_scan_matches_filter(&schema)?;
+    }
 
     #[test]
     fn cached_dispatch_equals_uncached_cold_and_warm(params in params_strategy()) {

@@ -7,12 +7,17 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
+use typederive::model::schema_to_text;
+use typederive::server::json::{quote, str_array};
 use typederive::server::{http_call, Api, Server, ServerConfig};
-use typederive::workload::{fig3_with_z1, server_replay, ReplaySpec};
+use typederive::workload::{
+    apply_random_mutations, batch_requests, fig3_with_z1, server_replay, wide_schema, ReplaySpec,
+};
 
 /// Binds a server on a free loopback port and serves it from a
 /// background thread. Returns the server, its `host:port`, and the
@@ -241,6 +246,124 @@ fn concurrent_mixed_tenant_load_matches_sequential_dispatch() {
             replay.requests[i].path
         );
     }
+
+    stop(&server, runner);
+}
+
+/// `analyze` reports whether its answer came from the cache; that is
+/// cache state, not the answer, so comparisons mask it.
+fn mask_cache_state(body: &str) -> String {
+    body.replace("\"schema_cached\": true", "\"schema_cached\": _")
+        .replace("\"schema_cached\": false", "\"schema_cached\": _")
+        .replace("\"request_cached\": true", "\"request_cached\": _")
+        .replace("\"request_cached\": false", "\"request_cached\": _")
+}
+
+#[test]
+fn reads_racing_edits_answer_as_one_of_the_two_versions() {
+    // Reads answer on the registered snapshot itself, so a PUT that
+    // swaps it mid-read must leave every read consistent with exactly
+    // one version: each read holds the entry it looked up to the end.
+    let base = wide_schema(64, 7);
+    let base_text = schema_to_text(&base);
+    let mut edited = base.clone();
+    apply_random_mutations(&mut edited, 3, 7);
+    let edited_text = schema_to_text(&edited);
+    assert_ne!(base_text, edited_text);
+    let texts = [base_text.as_str(), edited_text.as_str()];
+
+    let verbs = ["applicable", "lint", "explain", "analyze"];
+    let reads: Vec<(String, String)> = batch_requests(&base, 24, 0.5, 7)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (source, projection))| {
+            let verb = verbs[i % verbs.len()];
+            let ty = base.type_name(source);
+            let attrs: Vec<&str> = projection.iter().map(|&a| base.attr_name(a)).collect();
+            // The method of the source's own 8-type cluster.
+            let method = if verb == "explain" {
+                let n: usize = ty[1..].parse().expect("wide type name");
+                format!(", \"method\": {}", quote(&format!("wf{}_m", n / 8)))
+            } else {
+                String::new()
+            };
+            let body = format!(
+                "{{\"tenant\": \"t\", \"schema\": \"wide\", \"type\": {}, \"attrs\": {}{method}}}",
+                quote(ty),
+                str_array(&attrs)
+            );
+            (format!("/v1/{verb}"), body)
+        })
+        .collect();
+
+    // Sequential answers for each version.
+    let api = Api::new();
+    let expected: Vec<Vec<(u16, String)>> = texts
+        .iter()
+        .map(|text| {
+            let put = api.handle("PUT", "/v1/tenants/t/schemas/wide", "", text.as_bytes());
+            assert!(put.status < 300, "{}", put.body);
+            reads
+                .iter()
+                .map(|(path, body)| {
+                    let r = api.handle("POST", path, "", body.as_bytes());
+                    assert_eq!(r.status, 200, "{path} {body}: {}", r.body);
+                    (r.status, mask_cache_state(&r.body))
+                })
+                .collect()
+        })
+        .collect();
+    // The edit must show in some answers, or any version would match.
+    assert!((0..reads.len()).any(|i| expected[0][i] != expected[1][i]));
+
+    let (server, addr, runner) = start(ServerConfig {
+        exec_threads: 2,
+        queue_slots: 64,
+        ..ServerConfig::default()
+    });
+    let (status, body) = put_schema(&addr, "t", "wide", texts[0]);
+    assert_eq!(status, 201, "{body}");
+    let puts = AtomicUsize::new(0);
+    let readers_done = AtomicUsize::new(0);
+    thread::scope(|scope| {
+        for reader in 0..3 {
+            let (addr, reads, expected) = (&addr, &reads, &expected);
+            let (puts, readers_done) = (&puts, &readers_done);
+            scope.spawn(move || {
+                // Keep reading until several edits have landed.
+                let mut round = 0;
+                while round < 2 || puts.load(Ordering::SeqCst) < 4 {
+                    for k in 0..reads.len() {
+                        let i = (k + reader * 7) % reads.len();
+                        let (path, body) = &reads[i];
+                        let (status, answer) =
+                            http_call(addr, "POST", path, Some(body.as_bytes())).expect("read");
+                        assert!(status < 500, "{path} {body}: {status} {answer}");
+                        let got = (status, mask_cache_state(&answer));
+                        assert!(
+                            got == expected[0][i] || got == expected[1][i],
+                            "{path} {body} matches neither version: {got:?}"
+                        );
+                    }
+                    round += 1;
+                }
+                readers_done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        let (addr, puts, readers_done) = (&addr, &puts, &readers_done);
+        scope.spawn(move || {
+            // Bounded, so a failed reader cannot leave this loop spinning.
+            let mut version = 1;
+            while readers_done.load(Ordering::SeqCst) < 3 && version < 500 {
+                version += 1;
+                let (status, body) = put_schema(addr, "t", "wide", texts[version % 2]);
+                assert_eq!(status, 200, "{body}");
+                assert!(body.contains(&format!("\"version\": {version}")), "{body}");
+                puts.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+    });
+    assert!(puts.load(Ordering::SeqCst) >= 4);
 
     stop(&server, runner);
 }
