@@ -64,42 +64,6 @@ fn bench_deep_chain_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_subtype_index(c: &mut Criterion) {
-    // Bulk subtype queries: per-query DFS vs the precomputed bitset index.
-    use td_model::SubtypeIndex;
-    let mut group = c.benchmark_group("dispatch/subtype_bulk");
-    let w = td_bench::random_workload(128, 0x1D);
-    let schema = &w.schema;
-    let types: Vec<td_model::TypeId> = schema.live_type_ids().collect();
-    group.bench_function("naive_dfs", |b| {
-        b.iter(|| {
-            let mut count = 0usize;
-            for &x in &types {
-                for &y in &types {
-                    count += usize::from(schema.is_subtype(x, y));
-                }
-            }
-            black_box(count)
-        })
-    });
-    group.bench_function("bitset_index", |b| {
-        let idx = SubtypeIndex::build(schema);
-        b.iter(|| {
-            let mut count = 0usize;
-            for &x in &types {
-                for &y in &types {
-                    count += usize::from(idx.is_subtype(x, y));
-                }
-            }
-            black_box(count)
-        })
-    });
-    group.bench_function("bitset_build", |b| {
-        b.iter(|| SubtypeIndex::build(black_box(schema)))
-    });
-    group.finish();
-}
-
 /// A depth-`depth` chain where one generic function is overridden at every
 /// `every`-th level: dispatching on a deep receiver must linearize a long
 /// CPL and rank many applicable methods — the worst case the dispatch
@@ -191,7 +155,6 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_fig1_dispatch, bench_deep_chain_dispatch, bench_subtype_index,
-        bench_cold_vs_warm
+    targets = bench_fig1_dispatch, bench_deep_chain_dispatch, bench_cold_vs_warm
 }
 criterion_main!(benches);

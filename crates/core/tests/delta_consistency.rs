@@ -16,6 +16,11 @@
 //! fixpoint oracle, full lint text, explain proofs, and projection
 //! summaries — must match byte for byte, while the cache counters prove
 //! the delta copy genuinely kept entries warm.
+//!
+//! The same closure decides what [`Schema::carry_warm_from`] keeps when a
+//! registered text is re-parsed after an edit, so the last test carries a
+//! warm parse into the parse of an appended-to text and compares it with
+//! a cold parse of the same text.
 
 use std::collections::BTreeSet;
 
@@ -23,7 +28,9 @@ use td_core::{
     applicability_fixpoint, compute_applicability, compute_applicability_indexed, explain, lint,
     project, ProjectionOptions,
 };
-use td_model::{AttrId, MethodId, Schema, TypeId};
+use td_model::{
+    diff_schemas, parse_schema, schema_to_text, AttrId, CallArg, MethodId, Schema, TypeId,
+};
 use td_workload::{
     apply_random_mutations, deepest_type, random_projection, random_schema, GenParams,
 };
@@ -171,5 +178,119 @@ fn survivors_outnumber_evictions_for_leaf_heavy_streams() {
     assert!(
         stats.delta_survivals >= stats.delta_evictions,
         "leaf-heavy streams should keep more than they evict: {stats}"
+    );
+}
+
+/// Declarations that keep every existing id in place when appended to a
+/// schema's text: three new leaf types with an attribute each, and new
+/// methods of existing result-less generic functions, specialized at a new
+/// type or at existing ones, whose bodies call existing generic functions.
+/// (An appended `accessors` or `reader` line would not keep ids: the
+/// parser builds every accessor method before the first general method.)
+fn id_stable_edit(s: &Schema, seed: u64) -> String {
+    let mut state = seed;
+    let mut pick = |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % n
+    };
+    let types: Vec<TypeId> = s.live_type_ids().collect();
+    let mut out = String::new();
+    for i in 0..3 {
+        let sup = s.type_name(types[pick(types.len())]);
+        out.push_str(&format!("type Edit{i} : {sup} {{ edit{i}_x: int }}\n"));
+    }
+    let gfs: Vec<_> = s.gf_ids().collect();
+    let general: Vec<_> = gfs
+        .iter()
+        .copied()
+        .filter(|&g| s.gf(g).result.is_none() && !s.gf_name(g).starts_with("get_"))
+        .collect();
+    let mut signatures = std::collections::HashSet::new();
+    for j in 0..6 {
+        let g = general[pick(general.len())];
+        let arity = s.gf(g).arity;
+        let specs: Vec<String> = (0..arity)
+            .map(|_| match j % 2 {
+                0 => format!("Edit{}", j / 2),
+                _ => s.type_name(types[pick(types.len())]).to_string(),
+            })
+            .collect();
+        let taken = s.gf(g).methods.iter().any(|&m| {
+            let have = s.method(m).specializers.iter();
+            have.map(|sp| sp.as_type().map(|t| s.type_name(t)))
+                .eq(specs.iter().map(|n| Some(n.as_str())))
+        });
+        if taken || !signatures.insert((g, specs.clone())) {
+            continue;
+        }
+        let callee = gfs[pick(gfs.len())];
+        let args = vec!["$0"; s.gf(callee).arity].join(", ");
+        out.push_str(&format!(
+            "method edit_m{j} = {}({}) {{\n    {}({args});\n}}\n",
+            s.gf_name(g),
+            specs.join(", "),
+            s.gf_name(callee)
+        ));
+    }
+    out
+}
+
+/// Each generic function's most specific method for every live type in
+/// every argument position, rendered by label: the ranked dispatch tables
+/// a carry may keep.
+fn dispatch_report(s: &Schema) -> String {
+    let mut out = String::new();
+    for g in s.gf_ids() {
+        for t in s.live_type_ids() {
+            let args = vec![CallArg::Object(t); s.gf(g).arity];
+            let winner = s
+                .most_specific(g, &args)
+                .map(|m| m.map(|m| s.method_label(m)));
+            out.push_str(&format!(
+                "{} {}: {winner:?}\n",
+                s.gf_name(g),
+                s.type_name(t)
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn carried_caches_answer_like_a_cold_parse() {
+    let seeds = [11, 12, 13, 14, 15, 16];
+    let mut carried = 0;
+    for seed in seeds {
+        let params = GenParams {
+            seed,
+            ..GenParams::default()
+        };
+        let text = schema_to_text(&random_schema(&params));
+        let old = parse_schema(&text).expect("printed schema re-parses");
+        warm(&old, seed);
+        old.warm_caches();
+        dispatch_report(&old);
+        let edited = format!("{text}{}", id_stable_edit(&old, seed));
+        let new = parse_schema(&edited).expect("edited schema parses");
+        let diff = diff_schemas(&old, &new);
+        assert!(diff.ids_stable, "seed {seed}: {}", diff.summary());
+        let report = new.carry_warm_from(&old, &diff);
+        carried += usize::from(report.total() > 0);
+        let cold = parse_schema(&edited).unwrap();
+        let answers = |s: &Schema| full_report(s, seed) + &dispatch_report(s);
+        assert_eq!(
+            answers(&new),
+            answers(&cold),
+            "carried caches diverged from a cold parse\nseed {seed}, carried {report:?}\n\
+             appended:\n{}",
+            &edited[text.len()..]
+        );
+    }
+    assert!(
+        carried + 1 >= seeds.len(),
+        "carry fired on {carried} of {} seeds",
+        seeds.len()
     );
 }

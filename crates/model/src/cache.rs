@@ -1,68 +1,50 @@
 //! The dispatch acceleration layer: memoized CPLs and a delta-invalidated
 //! dispatch-table cache.
 //!
-//! Multi-method dispatch is the repository's hot loop. The
-//! `IsApplicable` call-graph walk re-scans a generic function's methods
-//! at every call site, and the I2 invariant check (`td-core`) reads the
-//! collapsed rank tables of every type a derivation touched. Uncached,
-//! each `most_specific` call recomputes class precedence lists (a
-//! topological sort over the ancestor DAG, per argument) and rescans every
-//! method of the generic function — O(calls × methods × hierarchy). The
-//! standard fix in the multi-method literature is dispatch-table
-//! precomputation; this module implements the lazy variant of it:
+//! Multi-method dispatch is the repository's hot loop: the `IsApplicable`
+//! walk re-scans a generic function's methods at every call site, and the
+//! I2 check (`td-core`) reads the rank tables of every type a derivation
+//! touched. Uncached, each `most_specific` call re-linearizes its argument
+//! types and rescans the generic function. This module is the lazy variant
+//! of dispatch-table precomputation, with each rule stated once:
 //!
-//! * **CPL memo** — `cpl(t)` and the collapsed specificity ranks derived
-//!   from it are computed once per type per schema *generation* and shared
-//!   via `Arc`.
-//! * **Dispatch tables** — per `(GfId, argument-type-vector)` the cache
-//!   stores both the unranked applicable-method set (consumed by the
-//!   `IsApplicable` walk) and the ranked list (consumed by
-//!   `rank_applicable`/`most_specific`).
-//! * **Delta invalidation** — every schema mutation emits a structured
-//!   [`crate::delta::SchemaDelta`] describing what changed
-//!   (a type node touched, a method added, …). Recording a delta is O(1)
-//!   (plus a set insert); the first read after a mutation *closes* the
-//!   recorded deltas into a dirty set — touched types are closed downward
-//!   over the hierarchy (everything below a rewired node reaches it
-//!   through its ancestor chain), touched methods are closed over the
-//!   condensation indexes' reverse call edges (an index is stale iff its
-//!   universe contains the method or its source newly admits it) — and
-//!   evicts exactly the reachable entries. Untouched entries survive the
-//!   mutation warm; dirty per-source indexes are repaired lazily, one
-//!   rebuild per dirty source, instead of rebuilding every index.
+//! * **One memo path.** Every cached artifact — CPLs, rank tables, the
+//!   unranked and ranked dispatch tables per `(GfId, argument types)`, the
+//!   condensation indexes per `(source, precision)`, and the lint and
+//!   analysis reports — has one map, read through one lookup: settle
+//!   pending deltas, probe, count a hit or a miss. A miss computes outside
+//!   the lock and stores the result, shared via `Arc`.
+//! * **One staleness closure.** Every schema mutation records a
+//!   [`crate::delta::SchemaDelta`] in O(1). The first read after it closes
+//!   the touched types downward over the hierarchy (everything below a
+//!   rewired node reaches it through its ancestor chain) and evicts exactly
+//!   the stale entries: CPLs and rank tables of dirty types, dispatch
+//!   tables of touched generic functions or dirty argument types, and
+//!   indexes whose source is dirty, whose universe holds a touched method
+//!   or whose source a touched method now reaches. The rest survive warm.
+//!   [`Schema::carry_warm_from`] feeds the same closure from a
+//!   [`SchemaDiff`]'s names and keeps the donor entries it leaves clean.
+//! * **One counter list.** The counters are one [`DispatchCacheStats`],
+//!   whose event counters `delta`, `merge` and `publish` walk as one list.
 //!
-//! ## Why the closure is computed at read time
-//!
-//! Deltas are recorded under `&mut Schema` but closed under `&Schema` at
-//! the next cached read, against the *post-mutation* hierarchy. This is
-//! sound: if a batch of mutations changes any type `X`'s ancestor set,
-//! then some edge on an old or new ancestor path of `X` changed at a node
+//! The closure runs at read time, against the *post-mutation* hierarchy.
+//! This is sound: if a batch of mutations changes any type `X`'s ancestor
+//! set, some edge on an old or new ancestor path of `X` changed at a node
 //! `n` reachable from `X` through edges that did *not* change below it
 //! (induction on the lowest changed node of the path), so `X ∈
-//! descendants(n)` at read time and `X` lands in the dirty set. Dispatch
-//! entries are keyed by argument types whose results depend only on their
-//! *upward* reachability, which the same argument covers; method-shaped
-//! deltas carry their gf and method ids explicitly.
+//! descendants(n)` at read time. Dispatch entries depend only on their
+//! argument types' upward reachability, which the same argument covers;
+//! method-shaped deltas carry their gf and method ids explicitly.
 //!
 //! The cache lives inside [`Schema`] behind a `Mutex` (keeping `Schema:
-//! Send + Sync`), is cloned with the schema (a clone is a snapshot, so
-//! the warm entries — and any still-unclosed deltas — stay valid), and is
-//! observable: hit/miss/invalidation/eviction/survival counters are
-//! exported as [`DispatchCacheStats`] through
-//! [`Schema::dispatch_cache_stats`], the CLI `explain` path and the
-//! invariant report.
+//! Send + Sync`) and is cloned with it: a clone is a snapshot, so its warm
+//! entries and unclosed deltas stay valid.
 //!
-//! ## Bounded report maps
-//!
-//! The lint and deep-analysis reports are keyed by request: a `(source,
-//! projection)` pair, plus a precision for analyses. A registered server
-//! schema answers every read on one shared snapshot, so a client that
-//! varies the projection would grow these maps without limit. Each map
-//! holds at most `MAX_CACHED_REPORTS` (1024) entries: a store that would
-//! exceed it first drops that map's request-keyed entries. The
-//! schema-wide reports (`None` part) stay, since every request reuses
-//! them. The other maps are bounded by the schema itself (one entry per
-//! type, or per generic function and argument tuple a body calls).
+//! **Bounded report maps.** Lint and analysis reports are keyed by request,
+//! and a registered server schema answers every read on one shared
+//! snapshot, so each report map holds at most `MAX_CACHED_REPORTS` (1024)
+//! entries: a store past that first drops the request-keyed entries and
+//! keeps the schema-wide ones. The other maps are bounded by the schema.
 
 use crate::appindex::{AnalysisPrecision, ApplicabilityIndex};
 use crate::delta::{CarryReport, SchemaDelta, SchemaDiff};
@@ -73,6 +55,8 @@ use crate::ids::{AttrId, GfId, MethodId, TypeId};
 use crate::schema::Schema;
 use crate::stats::DispatchCacheStats;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Per-type specificity ranks with surrogate collapse (see
@@ -81,6 +65,10 @@ pub(crate) type Ranks = Vec<(TypeId, usize)>;
 
 /// Key of the per-call dispatch tables.
 pub(crate) type CallKey = (GfId, Vec<CallArg>);
+
+/// Key of the condensation indexes: the projection source (an index does
+/// not depend on the projection list) and the precision it was built at.
+pub(crate) type IndexKey = (TypeId, AnalysisPrecision);
 
 /// Key of the cached lint reports: `None` is the schema-wide analysis,
 /// `Some((source, projection))` the per-request projection-safety part.
@@ -96,51 +84,87 @@ pub type AnalysisKey = (LintKey, AnalysisPrecision);
 /// (see "Bounded report maps" above).
 pub(crate) const MAX_CACHED_REPORTS: usize = 1024;
 
-/// Makes room for one more report under `new_key`: when `map` is full,
-/// drops its request-keyed entries (`is_request`), keeping the
-/// schema-wide ones.
-fn make_room_for_report<K: Eq + std::hash::Hash, V>(
-    map: &mut HashMap<K, V>,
-    new_key: &K,
-    is_request: impl Fn(&K) -> bool,
-) {
-    if map.len() >= MAX_CACHED_REPORTS && !map.contains_key(new_key) {
-        map.retain(|k, _| !is_request(k));
+/// Every cached artifact, one map per kind. A snapshot persists the first
+/// five maps (its indexes at `Syntactic` only); lint and analysis reports
+/// are presentation-layer and re-derive quickly.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Entries {
+    pub(crate) cpl: HashMap<TypeId, Arc<Vec<TypeId>>>,
+    pub(crate) ranks: HashMap<TypeId, Arc<Ranks>>,
+    pub(crate) applicable: HashMap<CallKey, Arc<Vec<MethodId>>>,
+    pub(crate) ranked: HashMap<CallKey, Arc<Vec<MethodId>>>,
+    pub(crate) index: HashMap<IndexKey, Arc<ApplicabilityIndex>>,
+    /// Reports computed in td-core and td-analyze, stored here so every
+    /// fork of a [`crate::SchemaSnapshot`] shares them.
+    pub(crate) lint: HashMap<LintKey, Arc<LintReport>>,
+    pub(crate) analysis: HashMap<AnalysisKey, Arc<LintReport>>,
+}
+
+impl Entries {
+    fn len(&self) -> usize {
+        self.cpl.len()
+            + self.ranks.len()
+            + self.applicable.len()
+            + self.ranked.len()
+            + self.index.len()
+            + self.lint.len()
+            + self.analysis.len()
     }
 }
 
-/// Deltas recorded since the last refresh, folded into the per-kind sets
-/// the dirty closure starts from.
+/// One memo table: its map in [`Entries`] and the hit and miss counters
+/// its lookups move.
+type Table<K, V> = fn(&mut CacheInner) -> (&mut HashMap<K, Arc<V>>, &mut u64, &mut u64);
+
+/// The [`Table`] of `entries.$map`, counted on `stats.$hits` and
+/// `stats.$misses`.
+macro_rules! table {
+    ($map:ident, $hits:ident, $misses:ident) => {
+        |c| {
+            (
+                &mut c.entries.$map,
+                &mut c.stats.$hits,
+                &mut c.stats.$misses,
+            )
+        }
+    };
+}
+const CPL: Table<TypeId, Vec<TypeId>> = table!(cpl, cpl_hits, cpl_misses);
+const RANKS: Table<TypeId, Ranks> = table!(ranks, cpl_hits, cpl_misses);
+const APPLICABLE: Table<CallKey, Vec<MethodId>> =
+    table!(applicable, dispatch_hits, dispatch_misses);
+const RANKED: Table<CallKey, Vec<MethodId>> = table!(ranked, dispatch_hits, dispatch_misses);
+const INDEX: Table<IndexKey, ApplicabilityIndex> = table!(index, index_hits, index_misses);
+const LINT: Table<LintKey, LintReport> = table!(lint, lint_hits, lint_misses);
+const ANALYSIS: Table<AnalysisKey, LintReport> = table!(analysis, analysis_hits, analysis_misses);
+
+/// What a batch of edits touched. Live deltas fill it as they are
+/// recorded; [`Schema::carry_warm_from`] fills it from a diff's names.
+/// [`Dirty::close`] turns it into the staleness rule both apply: a CPL or
+/// rank table is stale iff its type is in the closed `types`.
 #[derive(Debug, Clone, Default)]
-struct PendingDeltas {
+struct Dirty {
     /// An unbounded mutation was recorded: flush everything.
     full: bool,
-    /// Type nodes handed out `&mut` (edges/origin/attrs/liveness).
+    /// Type nodes handed out `&mut` (edges, origin, attributes, liveness).
     types: HashSet<TypeId>,
     /// Generic functions with added or touched methods.
     gfs: HashSet<GfId>,
     /// Methods added or touched.
     methods: HashSet<MethodId>,
-    /// An attribute definition was touched. Footprint bitsets reference
-    /// stable ids so the condensation indexes survive, but the deep
-    /// analyses (td-analyze) read attribute *value types*, so their
-    /// cached reports must not.
+    /// An attribute definition was touched: indexes survive (footprints
+    /// use stable ids), analysis reports do not (they read value types).
     attrs_touched: bool,
 }
 
-impl PendingDeltas {
+impl Dirty {
     fn record(&mut self, delta: SchemaDelta) {
         match delta {
             // Pure additions of leaf entities: nothing cached can
             // reference them, so only the lint flush (which every
             // refresh performs) applies.
             SchemaDelta::TypeAdded(_) | SchemaDelta::AttrAdded(_) | SchemaDelta::GfAdded(_) => {}
-            // Attribute definitions feed only per-request computations,
-            // lint and the deep analyses; footprint bitsets reference
-            // stable ids.
-            SchemaDelta::AttrTouched(_) => {
-                self.attrs_touched = true;
-            }
+            SchemaDelta::AttrTouched(_) => self.attrs_touched = true,
             SchemaDelta::TypeTouched(t) => {
                 self.types.insert(t);
             }
@@ -151,184 +175,168 @@ impl PendingDeltas {
             SchemaDelta::Full => self.full = true,
         }
     }
+
+    /// Closes the touched types downward over `schema`'s hierarchy: every
+    /// cached artifact of a type depends on its ancestor chain, so a
+    /// touched node dirties itself and its transitive subtypes. The walk
+    /// reads raw supertype edges and never re-enters the cache.
+    fn close(mut self, schema: &Schema) -> Dirty {
+        let mut closed = HashSet::new();
+        for t in self.types {
+            if closed.insert(t) {
+                closed.extend(schema.descendants(t));
+            }
+        }
+        self.types = closed;
+        self
+    }
+
+    /// A dispatch table is stale iff its gf was touched or one of its
+    /// argument types is dirty.
+    fn call(&self, (gf, args): &CallKey) -> bool {
+        let dirty_arg = |a: &CallArg| matches!(a, CallArg::Object(t) if self.types.contains(t));
+        self.gfs.contains(gf) || args.iter().any(dirty_arg)
+    }
+
+    /// The index of `source` is stale iff `source` is dirty, its universe
+    /// (`node_of`) contains a touched method, or a touched method now
+    /// applies to `source` (and would enter the universe on rebuild).
+    /// `method_applicable_to_type` reads raw edges: safe under the lock.
+    fn index(&self, schema: &Schema, source: TypeId, idx: &ApplicabilityIndex) -> bool {
+        self.types.contains(&source)
+            || self.methods.iter().any(|&m| {
+                idx.node_of.contains_key(&m) || schema.method_applicable_to_type(m, source)
+            })
+    }
 }
 
 #[derive(Debug, Clone, Default)]
 struct CacheInner {
-    /// Monotonic schema-mutation counter.
-    generation: u64,
-    /// Generation the maps below were populated under.
+    /// The counters; `stats.generation` counts mutations. The gauges are
+    /// read off `entries` instead.
+    stats: DispatchCacheStats,
+    /// Generation `entries` were populated under.
     entries_generation: u64,
     /// Deltas recorded since `entries_generation`, closed and drained by
     /// [`CacheInner::refresh`].
-    pending: PendingDeltas,
-    cpl: HashMap<TypeId, Arc<Vec<TypeId>>>,
-    ranks: HashMap<TypeId, Arc<Ranks>>,
-    applicable: HashMap<CallKey, Arc<Vec<MethodId>>>,
-    ranked: HashMap<CallKey, Arc<Vec<MethodId>>>,
-    /// Applicability condensation indexes, keyed by projection source
-    /// (the call graph and its footprints depend on the source type but
-    /// not on the projection list — see [`crate::appindex`]).
-    app_index: HashMap<TypeId, Arc<ApplicabilityIndex>>,
-    /// Semantically refined condensation indexes (see
-    /// [`AnalysisPrecision::Semantic`]), keyed by source like
-    /// `app_index`. Kept separate so the snapshot format (which
-    /// serializes only the syntactic map) is unchanged.
-    app_index_semantic: HashMap<TypeId, Arc<ApplicabilityIndex>>,
-    /// Lint reports, keyed by [`LintKey`]. The analysis itself lives in
-    /// td-core; the model only stores the results so every fork of a
-    /// [`crate::SchemaSnapshot`] shares them generationally.
-    lint: HashMap<LintKey, Arc<LintReport>>,
-    /// Deep-analysis reports (td-analyze), keyed by [`AnalysisKey`].
-    /// Unlike lint reports, the per-source entries participate in the
-    /// PR-8 delta closure: a single-method edit evicts only the sources
-    /// whose condensation universe the edit can reach.
-    analysis: HashMap<AnalysisKey, Arc<LintReport>>,
-    cpl_hits: u64,
-    cpl_misses: u64,
-    dispatch_hits: u64,
-    dispatch_misses: u64,
-    index_hits: u64,
-    index_misses: u64,
-    lint_hits: u64,
-    lint_misses: u64,
-    analysis_hits: u64,
-    analysis_misses: u64,
-    invalidations: u64,
-    full_flushes: u64,
-    delta_evictions: u64,
-    delta_survivals: u64,
+    pending: Dirty,
+    entries: Entries,
 }
 
-fn retain_counting<K: Eq + std::hash::Hash, V>(
-    map: &mut HashMap<K, V>,
-    keep: impl Fn(&K, &V) -> bool,
-) -> usize {
+/// Removes the entries `stale` marks and returns how many there were.
+fn evict<K, V>(map: &mut HashMap<K, V>, stale: impl Fn(&K, &V) -> bool) -> usize {
     let before = map.len();
-    map.retain(|k, v| keep(k, v));
+    map.retain(|k, v| !stale(k, v));
     before - map.len()
 }
 
+/// Moves the entries of `from` that `keep` accepts and `into` lacks into
+/// `into`; returns how many moved.
+fn carry<K: Eq + Hash, V>(
+    into: &mut HashMap<K, V>,
+    mut from: HashMap<K, V>,
+    keep: impl Fn(&K, &V) -> bool,
+) -> usize {
+    from.retain(|k, v| keep(k, v) && !into.contains_key(k));
+    let moved = from.len();
+    into.extend(from);
+    moved
+}
+
 impl CacheInner {
-    fn has_entries(&self) -> bool {
-        !self.cpl.is_empty()
-            || !self.ranks.is_empty()
-            || !self.applicable.is_empty()
-            || !self.ranked.is_empty()
-            || !self.app_index.is_empty()
-            || !self.app_index_semantic.is_empty()
-            || !self.lint.is_empty()
-            || !self.analysis.is_empty()
+    /// The memo lookup every cached read makes: settle pending deltas,
+    /// probe `table` and count a hit or a miss.
+    fn get<K: Eq + Hash, V>(
+        &mut self,
+        schema: &Schema,
+        table: Table<K, V>,
+        key: &K,
+    ) -> Option<Arc<V>> {
+        self.refresh(schema);
+        let (map, hits, misses) = table(self);
+        let found = map.get(key).cloned();
+        let counter = if found.is_some() { hits } else { misses };
+        *counter += 1;
+        found
     }
 
-    fn clear_entries(&mut self) {
-        self.cpl.clear();
-        self.ranks.clear();
-        self.applicable.clear();
-        self.ranked.clear();
-        self.app_index.clear();
-        self.app_index_semantic.clear();
-        self.lint.clear();
-        self.analysis.clear();
-    }
-
-    /// Closes the recorded deltas into a dirty set and evicts exactly the
-    /// reachable entries. Called at the top of every cached read; `schema`
-    /// is the (post-mutation) schema the cache belongs to. The hierarchy
-    /// walks used here (`descendants`, `method_applicable_to_type`) read
-    /// raw supertype edges and never re-enter the cache, so calling them
-    /// while holding the lock cannot deadlock.
-    fn refresh(&mut self, schema: &Schema) {
-        if self.entries_generation == self.generation {
-            return;
-        }
-        self.entries_generation = self.generation;
-        let dirt = std::mem::take(&mut self.pending);
-        if !self.has_entries() {
-            return;
-        }
-        if dirt.full {
-            self.clear_entries();
-            self.invalidations += 1;
-            self.full_flushes += 1;
-            return;
-        }
-
-        // Downward hierarchy closure: every cached artifact of a type
-        // depends on the type's ancestor chain, so a touched node dirties
-        // itself and its transitive subtypes. (A node already swept up as
-        // someone's descendant contributes nothing new: descendants are
-        // transitively closed.)
-        let mut dirty_types: HashSet<TypeId> = HashSet::new();
-        for &t in &dirt.types {
-            if dirty_types.insert(t) {
-                dirty_types.extend(schema.descendants(t));
+    /// Stores `value` under `key` for the current generation. A report
+    /// map passes its request-key test: once it holds
+    /// `MAX_CACHED_REPORTS` entries, a new key first drops the
+    /// request-keyed ones.
+    fn put<K: Eq + Hash, V>(
+        &mut self,
+        schema: &Schema,
+        table: Table<K, V>,
+        key: K,
+        value: Arc<V>,
+        is_request: Option<fn(&K) -> bool>,
+    ) {
+        self.refresh(schema);
+        let (map, _, _) = table(self);
+        if let Some(is_request) = is_request {
+            if map.len() >= MAX_CACHED_REPORTS && !map.contains_key(&key) {
+                map.retain(|k, _| !is_request(k));
             }
         }
+        map.insert(key, value);
+    }
 
-        let mut evicted = 0usize;
-        if !dirty_types.is_empty() {
-            evicted += retain_counting(&mut self.cpl, |t, _| !dirty_types.contains(t));
-            evicted += retain_counting(&mut self.ranks, |t, _| !dirty_types.contains(t));
+    /// Closes the recorded deltas and evicts exactly the stale entries.
+    /// Called at the top of every cached read; `schema` is the
+    /// (post-mutation) schema the cache belongs to.
+    fn refresh(&mut self, schema: &Schema) {
+        if self.entries_generation == self.stats.generation {
+            return;
         }
-        if !dirty_types.is_empty() || !dirt.gfs.is_empty() {
-            let stale_call = |key: &CallKey| {
-                dirt.gfs.contains(&key.0)
-                    || key
-                        .1
-                        .iter()
-                        .any(|a| matches!(a, CallArg::Object(t) if dirty_types.contains(t)))
-            };
-            evicted += retain_counting(&mut self.applicable, |k, _| !stale_call(k));
-            evicted += retain_counting(&mut self.ranked, |k, _| !stale_call(k));
+        self.entries_generation = self.stats.generation;
+        let pending = std::mem::take(&mut self.pending);
+        if self.entries.len() == 0 {
+            return;
         }
-        if !dirty_types.is_empty() || !dirt.methods.is_empty() {
-            // Reverse call-edge closure over the condensation indexes: a
-            // per-source index is stale iff its source type is dirty, its
-            // universe (`node_of`, the call-graph node set) contains a
-            // touched method, or a touched/new method is now applicable
-            // to its source (and would enter the universe on rebuild).
-            let stale_index = |source: &TypeId, idx: &Arc<ApplicabilityIndex>| {
-                dirty_types.contains(source)
-                    || dirt.methods.iter().any(|m| {
-                        idx.node_of.contains_key(m) || schema.method_applicable_to_type(*m, *source)
-                    })
-            };
-            evicted += retain_counting(&mut self.app_index, |s, idx| !stale_index(s, idx));
-            evicted += retain_counting(&mut self.app_index_semantic, |s, idx| !stale_index(s, idx));
+        if pending.full {
+            self.entries = Entries::default();
+            self.stats.invalidations += 1;
+            self.stats.full_flushes += 1;
+            return;
+        }
+        let dirty = pending.close(schema);
+        let e = &mut self.entries;
+        let mut evicted = 0;
+        if !dirty.types.is_empty() {
+            evicted += evict(&mut e.cpl, |t, _| dirty.types.contains(t));
+            evicted += evict(&mut e.ranks, |t, _| dirty.types.contains(t));
+        }
+        if !dirty.types.is_empty() || !dirty.gfs.is_empty() {
+            evicted += evict(&mut e.applicable, |k, _| dirty.call(k));
+            evicted += evict(&mut e.ranked, |k, _| dirty.call(k));
+        }
+        if !dirty.types.is_empty() || !dirty.methods.is_empty() {
+            evicted += evict(&mut e.index, |&(s, _), idx| dirty.index(schema, s, idx));
         }
         // Lint findings mention names, owners and dispatch outcomes
         // across the whole schema; every mutation flushes them (they
         // re-derive quickly and are presentation-layer).
-        evicted += self.lint.len();
-        self.lint.clear();
+        evicted += e.lint.len();
+        e.lint.clear();
         // Deep-analysis reports: the schema-wide part (`None` key)
         // flushes like lint, but a per-source part survives exactly when
         // a condensation index for its source survived the closure above
         // — the analyses are scoped to that universe, so a surviving
         // index proves no touched method can reach the report.
-        let attrs_touched = dirt.attrs_touched;
-        evicted += retain_counting(&mut self.analysis, |(key, _), _| match key {
-            None => false,
-            Some((source, _)) => {
-                !attrs_touched
-                    && (self.app_index.contains_key(source)
-                        || self.app_index_semantic.contains_key(source))
-            }
+        use AnalysisPrecision::{Semantic, Syntactic};
+        let index = &e.index;
+        let indexed = |s| index.contains_key(&(s, Syntactic)) || index.contains_key(&(s, Semantic));
+        evicted += evict(&mut e.analysis, |(key, _), _| match key {
+            None => true,
+            Some((source, _)) => dirty.attrs_touched || !indexed(*source),
         });
 
-        let survivors = self.cpl.len()
-            + self.ranks.len()
-            + self.applicable.len()
-            + self.ranked.len()
-            + self.app_index.len()
-            + self.app_index_semantic.len()
-            + self.analysis.len();
         if evicted > 0 {
-            self.invalidations += 1;
+            self.stats.invalidations += 1;
         }
-        self.delta_evictions += evicted as u64;
-        self.delta_survivals += survivors as u64;
+        self.stats.delta_evictions += evicted as u64;
+        self.stats.delta_survivals += self.entries.len() as u64;
     }
 }
 
@@ -337,16 +345,9 @@ impl CacheInner {
 /// All read paths go through `&Schema`, so the cache is populated behind
 /// a `Mutex`; mutation paths have `&mut Schema` and record deltas
 /// without contention via `get_mut`.
+#[derive(Default)]
 pub struct DispatchCache {
     inner: Mutex<CacheInner>,
-}
-
-impl Default for DispatchCache {
-    fn default() -> Self {
-        DispatchCache {
-            inner: Mutex::new(CacheInner::default()),
-        }
-    }
 }
 
 impl Clone for DispatchCache {
@@ -362,15 +363,7 @@ impl Clone for DispatchCache {
 
 impl std::fmt::Debug for DispatchCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.lock();
-        f.debug_struct("DispatchCache")
-            .field("generation", &inner.generation)
-            .field("cpl_entries", &inner.cpl.len())
-            .field(
-                "dispatch_entries",
-                &(inner.applicable.len() + inner.ranked.len()),
-            )
-            .finish()
+        write!(f, "DispatchCache({} entries)", self.lock().entries.len())
     }
 }
 
@@ -386,22 +379,27 @@ impl DispatchCache {
     /// set insert.
     pub(crate) fn note(&mut self, delta: SchemaDelta) {
         let inner = self.inner.get_mut().unwrap_or_else(|e| e.into_inner());
-        inner.generation += 1;
+        inner.stats.generation += 1;
         inner.pending.record(delta);
     }
 
-    /// Clones the warm entry maps for snapshot serialization (stats
-    /// counters stay behind; `Arc` clones make this cheap). Entries are
-    /// only exported after settling any pending deltas against `schema`.
-    pub(crate) fn export_warm(&self, schema: &Schema) -> WarmCaches {
+    /// The entries a snapshot persists, after settling any pending deltas
+    /// against `schema`: every map but the reports, and the indexes at
+    /// `Syntactic` only (stats counters stay behind; `Arc` clones make
+    /// this cheap).
+    pub(crate) fn export_warm(&self, schema: &Schema) -> Entries {
         let mut inner = self.lock();
         inner.refresh(schema);
-        WarmCaches {
-            cpl: inner.cpl.clone(),
-            ranks: inner.ranks.clone(),
-            applicable: inner.applicable.clone(),
-            ranked: inner.ranked.clone(),
-            app_index: inner.app_index.clone(),
+        let e = &inner.entries;
+        let mut index = e.index.clone();
+        index.retain(|(_, precision), _| *precision == AnalysisPrecision::Syntactic);
+        Entries {
+            cpl: e.cpl.clone(),
+            ranks: e.ranks.clone(),
+            applicable: e.applicable.clone(),
+            ranked: e.ranked.clone(),
+            index,
+            ..Entries::default()
         }
     }
 
@@ -409,27 +407,12 @@ impl DispatchCache {
     /// schema's present generation so the first read serves them instead
     /// of flushing (the snapshot loader's cache-restore step). Any
     /// pending deltas are dropped: the entries are declared current.
-    pub(crate) fn import_warm(&mut self, warm: WarmCaches) {
+    pub(crate) fn import_warm(&mut self, warm: Entries) {
         let inner = self.inner.get_mut().unwrap_or_else(|e| e.into_inner());
-        inner.cpl = warm.cpl;
-        inner.ranks = warm.ranks;
-        inner.applicable = warm.applicable;
-        inner.ranked = warm.ranked;
-        inner.app_index = warm.app_index;
-        inner.entries_generation = inner.generation;
-        inner.pending = PendingDeltas::default();
+        inner.entries = warm;
+        inner.entries_generation = inner.stats.generation;
+        inner.pending = Dirty::default();
     }
-}
-
-/// The serializable subset of the dispatch cache: every warm map except
-/// the lint reports (lint findings are presentation-layer and re-derive
-/// quickly; see the snapshot module docs).
-pub(crate) struct WarmCaches {
-    pub(crate) cpl: HashMap<TypeId, Arc<Vec<TypeId>>>,
-    pub(crate) ranks: HashMap<TypeId, Arc<Ranks>>,
-    pub(crate) applicable: HashMap<CallKey, Arc<Vec<MethodId>>>,
-    pub(crate) ranked: HashMap<CallKey, Arc<Vec<MethodId>>>,
-    pub(crate) app_index: HashMap<TypeId, Arc<ApplicabilityIndex>>,
 }
 
 impl Schema {
@@ -438,33 +421,20 @@ impl Schema {
     /// type node or attribute) increments it; cached dispatch results
     /// never cross generations.
     pub fn generation(&self) -> u64 {
-        self.cache.lock().generation
+        self.cache.lock().stats.generation
     }
 
     /// A snapshot of the dispatch-cache counters.
     pub fn dispatch_cache_stats(&self) -> DispatchCacheStats {
         let inner = self.cache.lock();
+        let e = &inner.entries;
         DispatchCacheStats {
-            generation: inner.generation,
-            cpl_hits: inner.cpl_hits,
-            cpl_misses: inner.cpl_misses,
-            dispatch_hits: inner.dispatch_hits,
-            dispatch_misses: inner.dispatch_misses,
-            index_hits: inner.index_hits,
-            index_misses: inner.index_misses,
-            lint_hits: inner.lint_hits,
-            lint_misses: inner.lint_misses,
-            invalidations: inner.invalidations,
-            full_flushes: inner.full_flushes,
-            delta_evictions: inner.delta_evictions,
-            delta_survivals: inner.delta_survivals,
-            cpl_entries: inner.cpl.len() + inner.ranks.len(),
-            dispatch_entries: inner.applicable.len() + inner.ranked.len(),
-            index_entries: inner.app_index.len() + inner.app_index_semantic.len(),
-            lint_entries: inner.lint.len(),
-            analysis_hits: inner.analysis_hits,
-            analysis_misses: inner.analysis_misses,
-            analysis_entries: inner.analysis.len(),
+            cpl_entries: e.cpl.len() + e.ranks.len(),
+            dispatch_entries: e.applicable.len() + e.ranked.len(),
+            index_entries: e.index.len(),
+            lint_entries: e.lint.len(),
+            analysis_entries: e.analysis.len(),
+            ..inner.stats
         }
     }
 
@@ -489,47 +459,38 @@ impl Schema {
     /// delta-invalidated re-derivation.
     pub fn clear_dispatch_cache(&self) {
         let mut inner = self.cache.lock();
-        inner.generation += 1;
+        inner.stats.generation += 1;
         inner.pending.record(SchemaDelta::Full);
         inner.refresh(self);
     }
 
     /// Carries warm cache entries from `donor` (the previous version of
     /// this schema, built independently — e.g. the prior parse of a
-    /// registered schema text) into this schema's cache, keeping only
-    /// entries whose dependency closure `diff` proves untouched.
+    /// registered schema text) into this schema's cache.
     ///
     /// Requires `diff = diff_schemas(donor, self)` with
     /// [`ids_stable`](SchemaDiff::ids_stable); returns an empty report
     /// otherwise (ids are the cache keys, so unstable ids make every old
-    /// entry meaningless here). Changed types dirty their transitive
-    /// subtypes exactly like a live mutation would; added or changed
-    /// methods dirty their gf's dispatch tables and every index that
-    /// contains or would now admit them. Existing entries of this cache
-    /// are never overwritten.
+    /// entry meaningless here). The diff's changed and added types, its
+    /// changed generic functions and its added and changed methods feed
+    /// the same staleness closure a live mutation does; a donor entry is
+    /// carried iff its types are live here, the closure does not mark it
+    /// stale, and this cache lacks its key (existing entries are never
+    /// overwritten).
     pub fn carry_warm_from(&self, donor: &Schema, diff: &SchemaDiff) -> CarryReport {
-        let mut report = CarryReport::default();
         if !diff.ids_stable {
-            return report;
+            return CarryReport::default();
         }
-        let mut dirty_types: HashSet<TypeId> = HashSet::new();
+        let mut dirty = Dirty::default();
+        // Added types dirty nothing existing, but close them anyway: an
+        // added type wired *above* an existing one shows up as a changed
+        // existing type, and closing both is harmless.
         for name in diff.changed_types.iter().chain(&diff.added_types) {
-            // Added types dirty nothing existing, but close them anyway:
-            // an added type wired *above* an existing one shows up as a
-            // changed existing type, and closing both is harmless.
-            if let Ok(t) = self.type_id(name) {
-                if dirty_types.insert(t) {
-                    dirty_types.extend(self.descendants(t));
-                }
-            }
+            dirty.types.extend(self.type_id(name).ok());
         }
-        let mut dirty_gfs: HashSet<GfId> = HashSet::new();
-        for name in diff.changed_gfs.iter() {
-            if let Ok(g) = self.gf_id(name) {
-                dirty_gfs.insert(g);
-            }
+        for name in &diff.changed_gfs {
+            dirty.gfs.extend(self.gf_id(name).ok());
         }
-        let mut dirty_methods: Vec<MethodId> = Vec::new();
         if !diff.added_methods.is_empty() || !diff.changed_methods.is_empty() {
             let by_label: HashMap<&str, MethodId> = self
                 .method_ids()
@@ -537,138 +498,78 @@ impl Schema {
                 .collect();
             for label in diff.added_methods.iter().chain(&diff.changed_methods) {
                 if let Some(&m) = by_label.get(label.as_str()) {
-                    dirty_methods.push(m);
-                    dirty_gfs.insert(self.method(m).gf);
+                    dirty.methods.insert(m);
+                    dirty.gfs.insert(self.method(m).gf);
                 }
             }
         }
+        let dirty = dirty.close(self);
 
         let warm = donor.cache.export_warm(donor);
         let mut inner = self.cache.lock();
         inner.refresh(self);
-        for (t, v) in warm.cpl {
-            if self.is_live(t) && !dirty_types.contains(&t) && !inner.cpl.contains_key(&t) {
-                inner.cpl.insert(t, v);
-                report.cpl += 1;
-            }
-        }
-        for (t, v) in warm.ranks {
-            if self.is_live(t) && !dirty_types.contains(&t) && !inner.ranks.contains_key(&t) {
-                inner.ranks.insert(t, v);
-                report.cpl += 1;
-            }
-        }
-        let call_ok = |key: &CallKey| {
-            !dirty_gfs.contains(&key.0)
-                && key.1.iter().all(|a| match a {
-                    CallArg::Object(t) => self.is_live(*t) && !dirty_types.contains(t),
-                    _ => true,
-                })
+        let e = &mut inner.entries;
+        let live_type = |t: &TypeId| self.is_live(*t) && !dirty.types.contains(t);
+        let live_call = |k: &CallKey| {
+            let live = |a: &CallArg| !matches!(a, CallArg::Object(t) if !self.is_live(*t));
+            k.1.iter().all(live) && !dirty.call(k)
         };
-        for (k, v) in warm.applicable {
-            if call_ok(&k) && !inner.applicable.contains_key(&k) {
-                inner.applicable.insert(k, v);
-                report.dispatch += 1;
-            }
+        CarryReport {
+            cpl: carry(&mut e.cpl, warm.cpl, |t, _| live_type(t))
+                + carry(&mut e.ranks, warm.ranks, |t, _| live_type(t)),
+            dispatch: carry(&mut e.applicable, warm.applicable, |k, _| live_call(k))
+                + carry(&mut e.ranked, warm.ranked, |k, _| live_call(k)),
+            indexes: carry(&mut e.index, warm.index, |&(s, _), idx| {
+                self.is_live(s) && !dirty.index(self, s, idx)
+            }),
         }
-        for (k, v) in warm.ranked {
-            if call_ok(&k) && !inner.ranked.contains_key(&k) {
-                inner.ranked.insert(k, v);
-                report.dispatch += 1;
-            }
+    }
+
+    /// The one memo path behind every cached artifact except the
+    /// reports: look `key` up in `table`, and on a miss compute the value
+    /// and store it. The computation runs outside the lock: it may
+    /// re-enter the cache (ranks read the CPL memo, an index build reads
+    /// the dispatch tables), and holding the lock across it would
+    /// serialize misses.
+    fn memo<K: Eq + Hash, V, E>(
+        &self,
+        table: Table<K, V>,
+        key: K,
+        compute: impl FnOnce() -> std::result::Result<V, E>,
+    ) -> std::result::Result<Arc<V>, E> {
+        if let Some(hit) = self.cache.lock().get(self, table, &key) {
+            return Ok(hit);
         }
-        for (source, idx) in warm.app_index {
-            let clean = self.is_live(source)
-                && !dirty_types.contains(&source)
-                && dirty_methods.iter().all(|m| {
-                    !idx.node_of.contains_key(m) && !self.method_applicable_to_type(*m, source)
-                });
-            if clean && !inner.app_index.contains_key(&source) {
-                inner.app_index.insert(source, idx);
-                report.indexes += 1;
-            }
-        }
-        report
+        let computed = Arc::new(compute()?);
+        let mut inner = self.cache.lock();
+        inner.put(self, table, key, Arc::clone(&computed), None);
+        Ok(computed)
     }
 
     /// The memoized class precedence list of `t`.
     pub(crate) fn cached_cpl(&self, t: TypeId) -> Result<Arc<Vec<TypeId>>> {
-        {
-            let mut inner = self.cache.lock();
-            inner.refresh(self);
-            if let Some(v) = inner.cpl.get(&t).map(Arc::clone) {
-                inner.cpl_hits += 1;
-                return Ok(v);
-            }
-            inner.cpl_misses += 1;
-        }
-        // Compute outside the lock: the computation re-enters no cached
-        // path, but holding a lock across it would serialize misses.
-        let computed = Arc::new(self.compute_cpl(t)?);
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        inner.cpl.insert(t, Arc::clone(&computed));
-        Ok(computed)
+        self.memo(CPL, t, || self.compute_cpl(t))
     }
 
     /// The memoized collapsed specificity ranks of `t`'s CPL.
     pub(crate) fn cached_ranks(&self, t: TypeId) -> Result<Arc<Ranks>> {
-        {
-            let mut inner = self.cache.lock();
-            inner.refresh(self);
-            if let Some(v) = inner.ranks.get(&t).map(Arc::clone) {
-                inner.cpl_hits += 1;
-                return Ok(v);
-            }
-            inner.cpl_misses += 1;
-        }
-        let cpl = self.cached_cpl(t)?;
-        let computed = Arc::new(self.collapsed_ranks(&cpl));
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        inner.ranks.insert(t, Arc::clone(&computed));
-        Ok(computed)
+        self.memo(RANKS, t, || Ok(self.collapsed_ranks(&self.cached_cpl(t)?)))
     }
 
     /// The memoized unranked applicable-method set for a call.
     pub(crate) fn cached_applicable(&self, gf: GfId, args: &[CallArg]) -> Arc<Vec<MethodId>> {
-        let key: CallKey = (gf, args.to_vec());
-        {
-            let mut inner = self.cache.lock();
-            inner.refresh(self);
-            if let Some(v) = inner.applicable.get(&key).map(Arc::clone) {
-                inner.dispatch_hits += 1;
-                return v;
-            }
-            inner.dispatch_misses += 1;
-        }
-        let computed = Arc::new(self.applicable_methods_uncached(gf, args));
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        inner.applicable.insert(key, Arc::clone(&computed));
-        computed
+        self.memo(APPLICABLE, (gf, args.to_vec()), || {
+            Ok::<_, Infallible>(self.applicable_methods_uncached(gf, args))
+        })
+        .unwrap_or_else(|never| match never {})
     }
 
     /// The memoized ranked applicable-method list for a call.
     pub(crate) fn cached_ranked(&self, gf: GfId, args: &[CallArg]) -> Result<Arc<Vec<MethodId>>> {
-        let key: CallKey = (gf, args.to_vec());
-        {
-            let mut inner = self.cache.lock();
-            inner.refresh(self);
-            if let Some(v) = inner.ranked.get(&key).map(Arc::clone) {
-                inner.dispatch_hits += 1;
-                return Ok(v);
-            }
-            inner.dispatch_misses += 1;
-        }
-        let applicable = self.cached_applicable(gf, args);
-        let ranked =
-            self.rank_methods(applicable.as_ref().clone(), args, |s, t| s.cached_ranks(t))?;
-        let computed = Arc::new(ranked);
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        inner.ranked.insert(key, Arc::clone(&computed));
-        Ok(computed)
+        self.memo(RANKED, (gf, args.to_vec()), || {
+            let applicable = self.cached_applicable(gf, args);
+            self.rank_methods(applicable.as_ref().clone(), args, |s, t| s.cached_ranks(t))
+        })
     }
 
     /// The memoized applicability condensation index for projections over
@@ -677,59 +578,27 @@ impl Schema {
     /// particular every [`crate::SchemaSnapshot`] fork — carries the warm
     /// index, so batch workers never rebuild it.
     pub fn cached_applicability_index(&self, source: TypeId) -> Result<Arc<ApplicabilityIndex>> {
-        {
-            let mut inner = self.cache.lock();
-            inner.refresh(self);
-            if let Some(v) = inner.app_index.get(&source).map(Arc::clone) {
-                inner.index_hits += 1;
-                return Ok(v);
-            }
-            inner.index_misses += 1;
-        }
-        // Built outside the lock: the construction re-enters the cache
-        // through `call_sites`/`applicable_methods` lookups.
-        let computed = {
-            let _span = td_telemetry::span("cache", "appindex_build");
-            Arc::new(ApplicabilityIndex::build(self, source)?)
-        };
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        inner.app_index.insert(source, Arc::clone(&computed));
-        Ok(computed)
+        self.cached_applicability_index_at(source, AnalysisPrecision::Syntactic)
     }
 
     /// The memoized condensation index for `source` at the requested
-    /// precision. `Syntactic` is exactly [`Schema::cached_applicability_index`];
-    /// `Semantic` is cached in a parallel per-source map behind the same
-    /// generation counter and delta closure, so the refined index is
-    /// built once per `(generation, source)` too.
+    /// precision, built once per `(generation, source, precision)` behind
+    /// the same delta closure at both precisions.
     pub fn cached_applicability_index_at(
         &self,
         source: TypeId,
         precision: AnalysisPrecision,
     ) -> Result<Arc<ApplicabilityIndex>> {
-        if precision == AnalysisPrecision::Syntactic {
-            return self.cached_applicability_index(source);
-        }
-        {
-            let mut inner = self.cache.lock();
-            inner.refresh(self);
-            if let Some(v) = inner.app_index_semantic.get(&source).map(Arc::clone) {
-                inner.index_hits += 1;
-                return Ok(v);
-            }
-            inner.index_misses += 1;
-        }
-        let computed = {
-            let _span = td_telemetry::span("cache", "appindex_refine");
-            Arc::new(ApplicabilityIndex::build_with(self, source, precision)?)
-        };
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        inner
-            .app_index_semantic
-            .insert(source, Arc::clone(&computed));
-        Ok(computed)
+        self.memo(INDEX, (source, precision), || {
+            let _span = td_telemetry::span(
+                "cache",
+                match precision {
+                    AnalysisPrecision::Syntactic => "appindex_build",
+                    AnalysisPrecision::Semantic => "appindex_refine",
+                },
+            );
+            ApplicabilityIndex::build_with(self, source, precision)
+        })
     }
 
     /// The cached deep-analysis report for `key`, if one was stored under
@@ -737,18 +606,7 @@ impl Schema {
     /// in td-analyze, which calls [`Schema::store_analysis_report`] after
     /// computing a missed report.
     pub fn cached_analysis_report(&self, key: &AnalysisKey) -> Option<Arc<LintReport>> {
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        match inner.analysis.get(key).map(Arc::clone) {
-            Some(v) => {
-                inner.analysis_hits += 1;
-                Some(v)
-            }
-            None => {
-                inner.analysis_misses += 1;
-                None
-            }
-        }
+        self.cache.lock().get(self, ANALYSIS, key)
     }
 
     /// Stores a deep-analysis report under `key` for the current
@@ -756,10 +614,10 @@ impl Schema {
     /// The map holds at most 1024 reports; a store past that drops the
     /// request-keyed ones first.
     pub fn store_analysis_report(&self, key: AnalysisKey, report: Arc<LintReport>) {
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        make_room_for_report(&mut inner.analysis, &key, |(part, _)| part.is_some());
-        inner.analysis.insert(key, report);
+        let is_request: fn(&AnalysisKey) -> bool = |(part, _)| part.is_some();
+        self.cache
+            .lock()
+            .put(self, ANALYSIS, key, report, Some(is_request));
     }
 
     /// The cached lint report for `key`, if one was stored under the
@@ -767,18 +625,7 @@ impl Schema {
     /// lives in td-core, which calls [`Schema::store_lint_report`] after
     /// computing a missed report.
     pub fn cached_lint_report(&self, key: &LintKey) -> Option<Arc<LintReport>> {
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        match inner.lint.get(key).map(Arc::clone) {
-            Some(v) => {
-                inner.lint_hits += 1;
-                Some(v)
-            }
-            None => {
-                inner.lint_misses += 1;
-                None
-            }
-        }
+        self.cache.lock().get(self, LINT, key)
     }
 
     /// Stores a lint report under `key` for the current generation, so
@@ -786,10 +633,9 @@ impl Schema {
     /// at most 1024 reports; a store past that drops the request-keyed
     /// ones first.
     pub fn store_lint_report(&self, key: LintKey, report: Arc<LintReport>) {
-        let mut inner = self.cache.lock();
-        inner.refresh(self);
-        make_room_for_report(&mut inner.lint, &key, Option::is_some);
-        inner.lint.insert(key, report);
+        self.cache
+            .lock()
+            .put(self, LINT, key, report, Some(Option::is_some));
     }
 }
 

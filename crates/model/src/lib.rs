@@ -58,7 +58,6 @@ pub mod display;
 pub mod error;
 pub mod hierarchy;
 pub mod ids;
-pub mod index;
 pub mod intern;
 pub mod linearize;
 pub mod methods;
@@ -79,7 +78,6 @@ pub use dispatch::CallArg;
 pub use error::{ModelError, Result};
 pub use hierarchy::{SuperLink, TypeNode, TypeOrigin};
 pub use ids::{AttrId, GfId, MethodId, NameId, TypeId, VarId};
-pub use index::SubtypeIndex;
 pub use intern::NameTable;
 pub use methods::{GenericFunction, Method, MethodKind, Specializer};
 pub use schema::{Schema, SchemaSnapshot};

@@ -35,10 +35,10 @@
 //! results that re-derive quickly and would drag diagnostic strings into
 //! the wire format) and cache hit/miss counters (telemetry, not state).
 
-use crate::appindex::{ApplicabilityIndex, AttrBitSet};
+use crate::appindex::{AnalysisPrecision, ApplicabilityIndex, AttrBitSet};
 use crate::attrs::{AttrDef, PrimType, ValueType};
 use crate::body::{BinOp, Body, Expr, Literal, LocalVar, Stmt};
-use crate::cache::WarmCaches;
+use crate::cache::{CallKey, Entries, IndexKey};
 use crate::hierarchy::{SuperLink, TypeNode, TypeOrigin};
 use crate::ids::{AttrId, GfId, MethodId, NameId, TypeId, VarId};
 use crate::intern::{fnv1a, NameTable};
@@ -515,9 +515,9 @@ fn encode_dispatch(
     w.finish()
 }
 
-fn encode_appindex(indexes: &HashMap<TypeId, Arc<ApplicabilityIndex>>) -> Vec<u8> {
+fn encode_appindex(indexes: &HashMap<IndexKey, Arc<ApplicabilityIndex>>) -> Vec<u8> {
     let mut entries: Vec<_> = indexes.iter().collect();
-    entries.sort_by_key(|(t, _)| **t);
+    entries.sort_by_key(|(k, _)| **k);
     let mut w = Writer::new();
     w.usize32(entries.len());
     for (_, idx) in entries {
@@ -572,7 +572,7 @@ pub fn save_snapshot(schema: &Schema, meta: &[(String, String)]) -> Vec<u8> {
             SECT_DISPATCH,
             encode_dispatch(&warm.applicable, &warm.ranked),
         ),
-        (SECT_APPINDEX, encode_appindex(&warm.app_index)),
+        (SECT_APPINDEX, encode_appindex(&warm.index)),
     ];
 
     let table_len = sections.len() * (4 + 8 + 8 + 8);
@@ -1066,7 +1066,7 @@ fn decode_cpl(s: &Sections<'_>) -> Sres<HashMap<TypeId, Arc<Vec<TypeId>>>> {
     Ok(out)
 }
 
-/// Decoded rank tables, keyed like `WarmCaches::ranks`.
+/// Decoded rank tables, keyed like `Entries::ranks`.
 type RankTables = HashMap<TypeId, Arc<Vec<(TypeId, usize)>>>;
 
 fn decode_ranks(s: &Sections<'_>) -> Sres<RankTables> {
@@ -1087,7 +1087,7 @@ fn decode_ranks(s: &Sections<'_>) -> Sres<RankTables> {
     Ok(out)
 }
 
-/// Decoded dispatch tables, keyed like `WarmCaches::dispatch`.
+/// Decoded dispatch tables, keyed like `Entries::applicable`.
 type DispatchTables = HashMap<(GfId, Vec<CallArg>), Arc<Vec<MethodId>>>;
 
 fn decode_dispatch_map(r: &mut Reader<'_>) -> Sres<DispatchTables> {
@@ -1122,7 +1122,7 @@ fn decode_dispatch(s: &Sections<'_>) -> Sres<DispatchMaps> {
     Ok((applicable, ranked))
 }
 
-fn decode_appindex(s: &Sections<'_>) -> Sres<HashMap<TypeId, Arc<ApplicabilityIndex>>> {
+fn decode_appindex(s: &Sections<'_>) -> Sres<HashMap<IndexKey, Arc<ApplicabilityIndex>>> {
     let mut r = section(s, SECT_APPINDEX)?;
     let n = r.count()?;
     let mut out = HashMap::with_capacity(n);
@@ -1180,7 +1180,7 @@ fn decode_appindex(s: &Sections<'_>) -> Sres<HashMap<TypeId, Arc<ApplicabilityIn
         // only disables the semantic-refinement fast path, not verdicts.
         let edges = vec![Vec::new(); n_methods];
         out.insert(
-            source,
+            (source, AnalysisPrecision::Syntactic),
             Arc::new(ApplicabilityIndex {
                 source,
                 n_attrs,
@@ -1193,7 +1193,7 @@ fn decode_appindex(s: &Sections<'_>) -> Sres<HashMap<TypeId, Arc<ApplicabilityIn
                 scc_members,
                 scc_cyclic,
                 fallback_methods,
-                precision: crate::appindex::AnalysisPrecision::Syntactic,
+                precision: AnalysisPrecision::Syntactic,
                 edges,
                 cycle_rings: std::sync::OnceLock::new(),
             }),
@@ -1249,15 +1249,123 @@ pub fn load_snapshot(bytes: &[u8]) -> Sres<(Schema, Vec<(String, String)>)> {
     let cpl = decode_cpl(&sections)?;
     let ranks = decode_ranks(&sections)?;
     let (applicable, ranked) = decode_dispatch(&sections)?;
-    let app_index = decode_appindex(&sections)?;
-    schema.cache.import_warm(WarmCaches {
+    let index = decode_appindex(&sections)?;
+    let warm = Entries {
         cpl,
         ranks,
         applicable,
         ranked,
-        app_index,
-    });
+        index,
+        ..Entries::default()
+    };
+    check_ids(&schema, &warm)?;
+    schema.cache.import_warm(warm);
     Ok((schema, meta))
+}
+
+/// Rejects every decoded id that points outside its arena, and any cycle
+/// of supertype edges. A loaded schema is indexed by these ids without
+/// further checks, so one bad id behind a valid checksum would otherwise
+/// panic the first reader (`tdv snapshot load`, a `--snapshot-dir` boot).
+fn check_ids(schema: &Schema, warm: &Entries) -> Sres<()> {
+    let n_gfs = schema.gfs.len();
+    let ty = |t: &TypeId| t.index() < schema.types.len();
+    let attr = |a: &AttrId| a.index() < schema.attrs.len();
+    let method = |m: &MethodId| m.index() < schema.methods.len();
+    let value = |v: &ValueType| !matches!(v, ValueType::Object(t) if !ty(t));
+    let arg = |a: &CallArg| !matches!(a, CallArg::Object(t) if !ty(t));
+    let body = |b: &Body| {
+        let mut ok = b.locals.iter().all(|l| value(&l.ty));
+        b.visit_stmts(&mut |s| {
+            ok &= !matches!(s, Stmt::Assign { var, .. } if var.index() >= b.locals.len());
+        });
+        b.visit_exprs(&mut |e| {
+            ok &= match e {
+                Expr::Var(v) => v.index() < b.locals.len(),
+                Expr::Call { gf, .. } => gf.index() < n_gfs,
+                _ => true,
+            };
+        });
+        ok
+    };
+    let calls = |map: &HashMap<CallKey, Arc<Vec<MethodId>>>| {
+        map.iter().all(|((gf, args), ms)| {
+            gf.index() < n_gfs && args.iter().all(arg) && ms.iter().all(method)
+        })
+    };
+    let checks = [
+        (
+            "type",
+            schema.types.iter().all(|n| {
+                n.supers.iter().all(|l| ty(&l.target))
+                    && n.local_attrs.iter().all(attr)
+                    && !matches!(n.origin, TypeOrigin::Surrogate { source } if !ty(&source))
+            }),
+        ),
+        ("attribute", schema.attrs.iter().all(|a| value(&a.ty))),
+        (
+            "generic function",
+            schema
+                .gfs
+                .iter()
+                .all(|g| g.methods.iter().all(method) && g.result.iter().all(value)),
+        ),
+        (
+            "method",
+            schema.methods.iter().all(|m| {
+                let spec = |s: &Specializer| !matches!(s, Specializer::Type(t) if !ty(t));
+                m.specializers.iter().all(spec)
+                    && m.result.iter().all(value)
+                    && match &m.kind {
+                        MethodKind::Reader(a) | MethodKind::Writer(a) => attr(a),
+                        MethodKind::General(b) => body(b),
+                    }
+            }),
+        ),
+        (
+            "cache",
+            warm.cpl.iter().all(|(t, cpl)| ty(t) && cpl.iter().all(ty))
+                && warm
+                    .ranks
+                    .iter()
+                    .all(|(t, ranks)| ty(t) && ranks.iter().all(|(u, _)| ty(u)))
+                && calls(&warm.applicable)
+                && calls(&warm.ranked)
+                && warm.index.iter().all(|((source, _), idx)| {
+                    ty(source)
+                        && idx.n_attrs <= schema.attrs.len()
+                        && idx.methods.iter().all(method)
+                }),
+        ),
+    ];
+    if let Some((section, _)) = checks.iter().find(|(_, ok)| !ok) {
+        return Err(SnapshotError::Corrupt(format!(
+            "{section} section has an id out of range"
+        )));
+    }
+    // Three-colour depth-first search over the supertype edges: 0 unseen,
+    // 1 on the current path, 2 finished.
+    let mut state = vec![0u8; schema.types.len()];
+    for root in 0..state.len() {
+        let mut stack = vec![(root, 0)];
+        while let Some(top) = stack.last_mut() {
+            let (t, next) = *top;
+            top.1 += 1;
+            state[t] = state[t].max(1);
+            match schema.types[t].supers.get(next).map(|l| l.target.index()) {
+                Some(s) if state[s] == 1 => {
+                    return Err(SnapshotError::Corrupt("supertype cycle".into()));
+                }
+                Some(s) if state[s] == 0 => stack.push((s, 0)),
+                Some(_) => {}
+                None => {
+                    state[t] = 2;
+                    stack.pop();
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Parses a snapshot and reports its layout and content counts without

@@ -3,6 +3,7 @@
 //! Used by the CLI's `show`/`check` commands and the reproduction
 //! harness to summarize a schema at a glance.
 
+use crate::ids::TypeId;
 use crate::schema::Schema;
 use std::fmt;
 
@@ -49,6 +50,7 @@ impl Schema {
             roots: 0,
             max_depth: 0,
         };
+        let depths = self.depths();
         for t in self.live_type_ids() {
             stats.types += 1;
             let node = self.type_(t);
@@ -63,18 +65,42 @@ impl Schema {
                 1 => {}
                 _ => stats.multiple_inheritance_types += 1,
             }
-            stats.max_depth = stats.max_depth.max(self.depth_of(t));
+            stats.max_depth = stats.max_depth.max(depths[t.index()]);
         }
         stats
     }
 
     /// Length (in edges) of the longest chain from `t` to a root.
-    pub fn depth_of(&self, t: crate::ids::TypeId) -> usize {
-        self.type_(t)
-            .super_ids()
-            .map(|s| 1 + self.depth_of(s))
-            .max()
-            .unwrap_or(0)
+    pub fn depth_of(&self, t: TypeId) -> usize {
+        self.depths()[t.index()]
+    }
+
+    /// Every type slot's [`depth_of`](Self::depth_of), in one memoized
+    /// depth-first pass over the supertype edges, so a diamond ladder
+    /// costs its edge count rather than its path count. An edge back
+    /// into the chain being walked (a cycle, which validation rejects)
+    /// is skipped, so the pass terminates on any hierarchy.
+    fn depths(&self) -> Vec<usize> {
+        const UNSEEN: usize = usize::MAX;
+        const OPEN: usize = usize::MAX - 1;
+        let mut depth = vec![UNSEEN; self.n_types()];
+        let mut stack: Vec<TypeId> = (0..depth.len()).map(TypeId::from_index).collect();
+        while let Some(t) = stack.pop() {
+            let supers = self.type_(t).super_ids();
+            match depth[t.index()] {
+                UNSEEN => {
+                    depth[t.index()] = OPEN;
+                    stack.push(t);
+                    stack.extend(supers.filter(|s| depth[s.index()] == UNSEEN));
+                }
+                OPEN => {
+                    let done = supers.map(|s| depth[s.index()]).filter(|&d| d < OPEN);
+                    depth[t.index()] = done.map(|d| d + 1).max().unwrap_or(0);
+                }
+                _ => {}
+            }
+        }
+        depth
     }
 }
 
@@ -99,13 +125,11 @@ pub struct DispatchCacheStats {
     pub dispatch_hits: u64,
     /// Dispatch-table lookups that had to compute.
     pub dispatch_misses: u64,
-    /// Applicability-index lookups answered from the cache (see
-    /// [`crate::appindex`]).
+    /// Applicability-index lookups answered from the cache.
     pub index_hits: u64,
     /// Applicability-index lookups that had to build the index.
     pub index_misses: u64,
-    /// Lint-report lookups answered from the cache (see [`crate::diag`];
-    /// the analysis lives in td-core).
+    /// Lint-report lookups answered from the cache.
     pub lint_hits: u64,
     /// Lint-report lookups that had to run the analysis.
     pub lint_misses: u64,
@@ -116,20 +140,17 @@ pub struct DispatchCacheStats {
     pub full_flushes: u64,
     /// Warm entries evicted by delta-closure refreshes (cumulative).
     pub delta_evictions: u64,
-    /// Warm entries that survived a delta-closure refresh (cumulative;
-    /// the whole point of delta invalidation — see [`crate::delta`]).
+    /// Warm entries that survived a delta-closure refresh (cumulative).
     pub delta_survivals: u64,
     /// Currently resident CPL + rank-table entries.
     pub cpl_entries: usize,
     /// Currently resident applicable + ranked dispatch entries.
     pub dispatch_entries: usize,
-    /// Currently resident applicability indexes (one per projection
-    /// source queried this generation).
+    /// Currently resident applicability indexes, at both precisions.
     pub index_entries: usize,
     /// Currently resident lint reports (schema-wide plus per-request).
     pub lint_entries: usize,
-    /// Deep-analysis report lookups answered from the cache (td-analyze;
-    /// keyed by [`crate::cache::AnalysisKey`]).
+    /// Deep-analysis report lookups answered from the cache (td-analyze).
     pub analysis_hits: u64,
     /// Deep-analysis report lookups that had to run the analyses.
     pub analysis_misses: u64,
@@ -137,70 +158,74 @@ pub struct DispatchCacheStats {
     pub analysis_entries: usize,
 }
 
+/// One event counter of [`DispatchCacheStats`], as a field accessor.
+type Counter = fn(&mut DispatchCacheStats) -> &mut u64;
+
 impl DispatchCacheStats {
+    /// The event counters, each with its `cache/*` registry name: the one
+    /// list [`delta`](Self::delta), [`merge`](Self::merge) and
+    /// [`publish`](Self::publish) walk. The other fields are gauges.
+    const EVENTS: [(&'static str, Counter); 14] = [
+        ("cache/cpl_hits", |s| &mut s.cpl_hits),
+        ("cache/cpl_misses", |s| &mut s.cpl_misses),
+        ("cache/dispatch_hits", |s| &mut s.dispatch_hits),
+        ("cache/dispatch_misses", |s| &mut s.dispatch_misses),
+        ("cache/index_hits", |s| &mut s.index_hits),
+        ("cache/index_misses", |s| &mut s.index_misses),
+        ("cache/lint_hits", |s| &mut s.lint_hits),
+        ("cache/lint_misses", |s| &mut s.lint_misses),
+        ("cache/analysis_hits", |s| &mut s.analysis_hits),
+        ("cache/analysis_misses", |s| &mut s.analysis_misses),
+        ("cache/invalidations", |s| &mut s.invalidations),
+        ("cache/full_flushes", |s| &mut s.full_flushes),
+        ("cache/delta_evictions", |s| &mut s.delta_evictions),
+        ("cache/delta_survivals", |s| &mut s.delta_survivals),
+    ];
+
     /// Counter movement since `baseline` (event counters subtract,
     /// saturating; `generation` and the resident-entry gauges keep their
     /// current values). Used by the batch engine to attribute cache
     /// activity to one derivation: a fork inherits its snapshot's
     /// counters, so the fork's own work is `final.delta(&at_fork)`.
     pub fn delta(&self, baseline: &DispatchCacheStats) -> DispatchCacheStats {
-        DispatchCacheStats {
-            generation: self.generation,
-            cpl_hits: self.cpl_hits.saturating_sub(baseline.cpl_hits),
-            cpl_misses: self.cpl_misses.saturating_sub(baseline.cpl_misses),
-            dispatch_hits: self.dispatch_hits.saturating_sub(baseline.dispatch_hits),
-            dispatch_misses: self
-                .dispatch_misses
-                .saturating_sub(baseline.dispatch_misses),
-            index_hits: self.index_hits.saturating_sub(baseline.index_hits),
-            index_misses: self.index_misses.saturating_sub(baseline.index_misses),
-            lint_hits: self.lint_hits.saturating_sub(baseline.lint_hits),
-            lint_misses: self.lint_misses.saturating_sub(baseline.lint_misses),
-            invalidations: self.invalidations.saturating_sub(baseline.invalidations),
-            full_flushes: self.full_flushes.saturating_sub(baseline.full_flushes),
-            delta_evictions: self
-                .delta_evictions
-                .saturating_sub(baseline.delta_evictions),
-            delta_survivals: self
-                .delta_survivals
-                .saturating_sub(baseline.delta_survivals),
-            cpl_entries: self.cpl_entries,
-            dispatch_entries: self.dispatch_entries,
-            index_entries: self.index_entries,
-            lint_entries: self.lint_entries,
-            analysis_hits: self.analysis_hits.saturating_sub(baseline.analysis_hits),
-            analysis_misses: self
-                .analysis_misses
-                .saturating_sub(baseline.analysis_misses),
-            analysis_entries: self.analysis_entries,
+        let (mut since, mut baseline) = (*self, *baseline);
+        for (_, counter) in Self::EVENTS {
+            let base = *counter(&mut baseline);
+            let value = counter(&mut since);
+            *value = value.saturating_sub(base);
         }
+        since
     }
 
     /// Event-counter sum (`self + other`), for batch rollups. The
     /// non-additive fields keep the maximum of the two sides.
     pub fn merge(&self, other: &DispatchCacheStats) -> DispatchCacheStats {
+        let (mut sum, mut other) = (*self, *other);
+        for (_, counter) in Self::EVENTS {
+            *counter(&mut sum) += *counter(&mut other);
+        }
         DispatchCacheStats {
             generation: self.generation.max(other.generation),
-            cpl_hits: self.cpl_hits + other.cpl_hits,
-            cpl_misses: self.cpl_misses + other.cpl_misses,
-            dispatch_hits: self.dispatch_hits + other.dispatch_hits,
-            dispatch_misses: self.dispatch_misses + other.dispatch_misses,
-            index_hits: self.index_hits + other.index_hits,
-            index_misses: self.index_misses + other.index_misses,
-            lint_hits: self.lint_hits + other.lint_hits,
-            lint_misses: self.lint_misses + other.lint_misses,
-            invalidations: self.invalidations + other.invalidations,
-            full_flushes: self.full_flushes + other.full_flushes,
-            delta_evictions: self.delta_evictions + other.delta_evictions,
-            delta_survivals: self.delta_survivals + other.delta_survivals,
             cpl_entries: self.cpl_entries.max(other.cpl_entries),
             dispatch_entries: self.dispatch_entries.max(other.dispatch_entries),
             index_entries: self.index_entries.max(other.index_entries),
             lint_entries: self.lint_entries.max(other.lint_entries),
-            analysis_hits: self.analysis_hits + other.analysis_hits,
-            analysis_misses: self.analysis_misses + other.analysis_misses,
             analysis_entries: self.analysis_entries.max(other.analysis_entries),
+            ..sum
         }
+    }
+
+    /// Lookups answered from a memo and lookups that computed, summed
+    /// over the `*_hits` and the `*_misses` event counters.
+    pub fn hits_and_misses(&self) -> (u64, u64) {
+        let mut stats = *self;
+        let mut sum = |suffix: &str| -> u64 {
+            let named = Self::EVENTS
+                .iter()
+                .filter(|(name, _)| name.ends_with(suffix));
+            named.map(|(_, counter)| *counter(&mut stats)).sum()
+        };
+        (sum("_hits"), sum("_misses"))
     }
 
     /// Publishes these stats into the `td_telemetry` metrics registry:
@@ -212,22 +237,9 @@ impl DispatchCacheStats {
             return;
         }
         use td_telemetry::metrics::{counter, gauge};
-        for (name, value) in [
-            ("cache/cpl_hits", self.cpl_hits),
-            ("cache/cpl_misses", self.cpl_misses),
-            ("cache/dispatch_hits", self.dispatch_hits),
-            ("cache/dispatch_misses", self.dispatch_misses),
-            ("cache/index_hits", self.index_hits),
-            ("cache/index_misses", self.index_misses),
-            ("cache/lint_hits", self.lint_hits),
-            ("cache/lint_misses", self.lint_misses),
-            ("cache/analysis_hits", self.analysis_hits),
-            ("cache/analysis_misses", self.analysis_misses),
-            ("cache/invalidations", self.invalidations),
-            ("cache/full_flushes", self.full_flushes),
-            ("cache/delta_evictions", self.delta_evictions),
-            ("cache/delta_survivals", self.delta_survivals),
-        ] {
+        let mut stats = *self;
+        for (name, field) in Self::EVENTS {
+            let value = *field(&mut stats);
             if value > 0 {
                 counter(name).add(value);
             }
@@ -434,6 +446,40 @@ mod tests {
         // …and gauges are last-write-wins.
         assert_eq!(snap.gauges["cache/generation"], 7);
         assert_eq!(snap.gauges["cache/cpl_entries"], 4);
+    }
+
+    #[test]
+    fn depths_of_a_diamond_ladder_take_one_pass() {
+        // Roots L0a and L0b; each Lia and Lib inherits from both L(i-1)a
+        // and L(i-1)b, so a level-i type has 2^i paths to a root.
+        let mut s = Schema::new();
+        let mut level = [
+            s.add_type("L0a", &[]).unwrap(),
+            s.add_type("L0b", &[]).unwrap(),
+        ];
+        for i in 1..100 {
+            level = [
+                s.add_type(format!("L{i}a"), &level).unwrap(),
+                s.add_type(format!("L{i}b"), &level).unwrap(),
+            ];
+        }
+        let st = s.stats();
+        assert_eq!(st.types, 200);
+        assert_eq!(st.max_depth, 99);
+        assert_eq!(s.depth_of(level[1]), 99);
+    }
+
+    #[test]
+    fn depths_terminate_on_a_cyclic_hierarchy() {
+        let mut s = Schema::new();
+        let a = s.add_type("A", &[]).unwrap();
+        let b = s.add_type("B", &[a]).unwrap();
+        // A cycle no mutator would build (a corrupt snapshot could).
+        s.types[a.index()]
+            .supers
+            .push(crate::SuperLink { target: b, prec: 1 });
+        assert!(s.depth_of(a) <= 1 && s.depth_of(b) <= 2);
+        assert!(s.stats().max_depth <= 2);
     }
 
     #[test]

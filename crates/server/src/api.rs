@@ -41,7 +41,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use td_core::{explain, project, Derivation, ProjectionOptions};
-use td_model::{parse_schema_lenient, AnalysisPrecision, AttrId, Schema, SchemaSnapshot, TypeId};
+use td_model::{
+    parse_schema_lenient, AnalysisPrecision, AttrId, DispatchCacheStats, Schema, SchemaSnapshot,
+    TypeId,
+};
 use td_telemetry::json::{quote, str_array, Json};
 use td_telemetry::TraceId;
 
@@ -102,11 +105,14 @@ pub struct RequestRecord {
     pub exec_us: u64,
     /// End-to-end microseconds (queue + exec).
     pub total_us: u64,
-    /// Dispatch/lint/analysis cache hits charged while the request ran
-    /// (registry `cache/*_hits` counter movement; zero while telemetry
-    /// is off, since cache stats publish through the telemetry switch).
+    /// CPL, dispatch, index, lint and analysis cache hits on the schema
+    /// the handler ran on: the fork for `project`, the registered
+    /// snapshot for reads (whose counters concurrent reads of the same
+    /// schema also move, so a record can include their lookups), the
+    /// per-request forks summed for `batch`. Zero for endpoints that run
+    /// on no schema.
     pub cache_hits: u64,
-    /// Cache misses charged while the request ran.
+    /// Cache misses, charged like `cache_hits`.
     pub cache_misses: u64,
     /// I1–I5 violations the request's derivations reported (registry
     /// `core/invariant_violations` counter movement).
@@ -134,21 +140,6 @@ impl RequestRecord {
             self.invariant_violations,
         )
     }
-}
-
-/// Sum of the registry's `cache/*` hit and miss counters — the
-/// before/after pair the flight recorder charges a request with.
-fn cache_counts() -> (u64, u64) {
-    use td_telemetry::metrics::counter;
-    let hits = ["cpl", "dispatch", "index", "lint", "analysis"]
-        .iter()
-        .map(|k| counter(&format!("cache/{k}_hits")).get())
-        .sum();
-    let misses = ["cpl", "dispatch", "index", "lint", "analysis"]
-        .iter()
-        .map(|k| counter(&format!("cache/{k}_misses")).get())
-        .sum();
-    (hits, misses)
 }
 
 /// The registry's I1–I5 violation total, which every served derivation
@@ -245,9 +236,9 @@ impl Api {
         let start_ns = td_telemetry::now_ns();
         let endpoint = endpoint_key(method, path);
         let scope = ctx.trace.map(td_telemetry::trace_scope);
-        let cache_before = cache_counts();
         let violations_before = invariant_violations();
-        let result = self.route(method, path, query, body);
+        let mut cache = DispatchCacheStats::default();
+        let result = self.route(method, path, query, body, &mut cache);
         let end_ns = td_telemetry::now_ns();
         let elapsed_us = started.elapsed().as_micros() as u64;
         let total_us = ctx.queue_us + elapsed_us;
@@ -296,7 +287,7 @@ impl Api {
                 end_ns.saturating_sub(start_ns),
                 vec![("status", i64::from(status).into())],
             );
-            let cache_after = cache_counts();
+            let (cache_hits, cache_misses) = cache.hits_and_misses();
             let record = RequestRecord {
                 trace: trace.to_string(),
                 tenant: ctx.tenant.clone().unwrap_or_else(|| "default".to_string()),
@@ -307,8 +298,8 @@ impl Api {
                 queue_us: ctx.queue_us,
                 exec_us: elapsed_us,
                 total_us,
-                cache_hits: cache_after.0.saturating_sub(cache_before.0),
-                cache_misses: cache_after.1.saturating_sub(cache_before.1),
+                cache_hits,
+                cache_misses,
                 invariant_violations: invariant_violations().saturating_sub(violations_before),
             };
             let mut recorder = self.recorder.lock().unwrap_or_else(|e| e.into_inner());
@@ -339,12 +330,15 @@ impl Api {
         }
     }
 
+    /// Routes one request; a compute handler charges `cache` with the
+    /// dispatch-cache movement on the schema it ran on.
     fn route(
         &self,
         method: &str,
         path: &str,
         query: &str,
         body: &[u8],
+        cache: &mut DispatchCacheStats,
     ) -> Result<Response, ApiError> {
         let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
         match (method, segments.as_slice()) {
@@ -353,7 +347,7 @@ impl Api {
             ("GET", ["v1", "stats"]) => Ok(self.stats()),
             ("GET", ["v1", "debug", "requests"]) => Ok(self.debug_requests()),
             (m, ["v1", "tenants", tenant, "schemas", name]) => self.schemas(m, tenant, name, body),
-            ("POST", ["v1", verb]) => self.compute(verb, body),
+            ("POST", ["v1", verb]) => self.compute(verb, body, cache),
             (_, ["healthz" | "metrics"])
             | (_, ["v1", "stats"])
             | (_, ["v1", "debug", "requests"]) => Err(ApiError {
@@ -612,7 +606,12 @@ impl Api {
         })
     }
 
-    fn compute(&self, verb: &str, body: &[u8]) -> Result<Response, ApiError> {
+    fn compute(
+        &self,
+        verb: &str,
+        body: &[u8],
+        cache: &mut DispatchCacheStats,
+    ) -> Result<Response, ApiError> {
         let req = ComputeRequest::parse(verb, body)?;
         if req.delay_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(
@@ -620,12 +619,20 @@ impl Api {
             ));
         }
         match verb {
-            "project" => self.project(&req),
-            "applicable" => self.applicable(&req),
-            "lint" => self.lint(&req),
-            "analyze" => self.analyze(&req),
-            "explain" => self.explain(&req),
-            "batch" => self.batch(&req),
+            "project" => self.project(&req, cache),
+            "applicable" | "lint" | "analyze" | "explain" => {
+                let schema = self.read_schema(&req)?;
+                let before = schema.dispatch_cache_stats();
+                let result = match verb {
+                    "applicable" => self.applicable(&schema, &req),
+                    "lint" => self.lint(&schema, &req),
+                    "analyze" => self.analyze(&schema, &req),
+                    _ => self.explain(&schema, &req),
+                };
+                *cache = schema.dispatch_cache_stats().delta(&before);
+                result
+            }
+            "batch" => self.batch(&req, cache),
             other => Err(ApiError {
                 status: 404,
                 message: format!("no such endpoint: POST /v1/{other}"),
@@ -687,23 +694,26 @@ impl Api {
         Ok((source, projection))
     }
 
-    fn project(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
+    fn project(
+        &self,
+        req: &ComputeRequest,
+        cache: &mut DispatchCacheStats,
+    ) -> Result<Response, ApiError> {
         let mut schema = self.resolve(req)?;
-        let (source, projection) = self.view(&schema, req)?;
-        let d = project(
-            &mut schema,
-            source,
-            &projection,
-            &ProjectionOptions::default(),
-        )
-        .map_err(|e| bad(e.to_string()))?;
-        Ok(Response::json(200, derivation_json(&schema, &d)))
+        let at_fork = schema.dispatch_cache_stats();
+        let response = self.view(&schema, req).and_then(|(source, projection)| {
+            let options = ProjectionOptions::default();
+            let d = project(&mut schema, source, &projection, &options)
+                .map_err(|e| bad(e.to_string()))?;
+            Ok(Response::json(200, derivation_json(&schema, &d)))
+        });
+        *cache = schema.dispatch_cache_stats().delta(&at_fork);
+        response
     }
 
-    fn applicable(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
-        let schema = self.read_schema(req)?;
-        let (source, projection) = self.view(&schema, req)?;
-        let r = td_core::compute_applicability_indexed(&schema, source, &projection, false)
+    fn applicable(&self, schema: &Schema, req: &ComputeRequest) -> Result<Response, ApiError> {
+        let (source, projection) = self.view(schema, req)?;
+        let r = td_core::compute_applicability_indexed(schema, source, &projection, false)
             .map_err(|e| bad(e.to_string()))?;
         let labels = |ms: &[td_model::MethodId]| {
             str_array(ms.iter().map(|&m| schema.method_label(m).to_string()))
@@ -718,26 +728,24 @@ impl Api {
         ))
     }
 
-    fn lint(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
-        let schema = self.read_schema(req)?;
+    fn lint(&self, schema: &Schema, req: &ComputeRequest) -> Result<Response, ApiError> {
         let view = if req.ty.is_some() {
-            Some(self.view(&schema, req)?)
+            Some(self.view(schema, req)?)
         } else {
             None
         };
-        let report = td_core::lint(&schema, view.as_ref().map(|(t, a)| (*t, a)));
+        let report = td_core::lint(schema, view.as_ref().map(|(t, a)| (*t, a)));
         Ok(Response::json(200, report.render_json()))
     }
 
-    fn analyze(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
-        let schema = self.read_schema(req)?;
+    fn analyze(&self, schema: &Schema, req: &ComputeRequest) -> Result<Response, ApiError> {
         let view = if req.ty.is_some() {
-            Some(self.view(&schema, req)?)
+            Some(self.view(schema, req)?)
         } else {
             None
         };
         let outcome =
-            td_analyze::analyze(&schema, view.as_ref().map(|(t, a)| (*t, a)), req.precision);
+            td_analyze::analyze(schema, view.as_ref().map(|(t, a)| (*t, a)), req.precision);
         if req.format.as_deref() == Some("sarif") {
             return Ok(Response::json(
                 200,
@@ -764,9 +772,8 @@ impl Api {
         ))
     }
 
-    fn explain(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
-        let schema = self.read_schema(req)?;
-        let (source, projection) = self.view(&schema, req)?;
+    fn explain(&self, schema: &Schema, req: &ComputeRequest) -> Result<Response, ApiError> {
+        let (source, projection) = self.view(schema, req)?;
         let label = req
             .method
             .as_deref()
@@ -774,19 +781,23 @@ impl Api {
         let method = schema
             .method_by_label(label)
             .map_err(|e| bad(e.to_string()))?;
-        let e = explain(&schema, source, &projection, method).map_err(|e| bad(e.to_string()))?;
+        let e = explain(schema, source, &projection, method).map_err(|e| bad(e.to_string()))?;
         Ok(Response::json(
             200,
             format!(
                 "{{\"method\": {}, \"applicable\": {}, \"explanation\": {}}}\n",
                 quote(label),
                 e.is_applicable(),
-                quote(&e.render(&schema))
+                quote(&e.render(schema))
             ),
         ))
     }
 
-    fn batch(&self, req: &ComputeRequest) -> Result<Response, ApiError> {
+    fn batch(
+        &self,
+        req: &ComputeRequest,
+        cache: &mut DispatchCacheStats,
+    ) -> Result<Response, ApiError> {
         let requests_text = req.requests.as_deref().ok_or_else(|| {
             bad("missing `requests` (request-file text, one `Type: attrs` per line)")
         })?;
@@ -814,6 +825,7 @@ impl Api {
         deriver.warm();
         let outcome = deriver.run(&requests);
         let s = &outcome.stats;
+        *cache = s.cache;
         Ok(Response::json(
             200,
             format!(
@@ -1521,6 +1533,44 @@ mod tests {
             json.body.contains("\"core/invariant_violations\": 0"),
             "{}",
             json.body
+        );
+    }
+
+    #[test]
+    fn traced_requests_record_the_cache_movement_of_their_schema() {
+        let api = Api::new();
+        api.handle("PUT", "/v1/tenants/t/schemas/s", "", FIG.as_bytes());
+        let record = |path: &str, body: &str| {
+            let ctx = RequestCtx {
+                trace: Some(TraceId::generate()),
+                tenant: None,
+                queue_us: 0,
+            };
+            let r = api.handle_with("POST", path, "", body.as_bytes(), &ctx);
+            assert_eq!(r.status, 200, "{}", r.body);
+            let dbg = api.handle("GET", "/v1/debug/requests", "", b"");
+            let doc = Json::parse(&dbg.body).unwrap();
+            let row = &doc.as_obj().unwrap()["requests"].as_arr().unwrap()[0];
+            let count = |k: &str| row.as_obj().unwrap()[k].as_usize().unwrap();
+            (count("cache_hits"), count("cache_misses"))
+        };
+        // The derivation runs on a fork of the warm registered snapshot,
+        // so its dispatch and CPL lookups hit.
+        let (hits, _) = record(
+            "/v1/project",
+            &project_body("\"tenant\": \"t\", \"schema\": \"s\""),
+        );
+        assert!(hits > 0, "project recorded no cache hits");
+        // A read charges the registered snapshot: the first lint misses,
+        // the same lint again hits what the first one stored.
+        let lint =
+            "{\"tenant\": \"t\", \"schema\": \"s\", \"type\": \"Person\", \"attrs\": [\"SSN\"]}";
+        let (_, first_misses) = record("/v1/lint", lint);
+        assert!(first_misses > 0);
+        let (again_hits, again_misses) = record("/v1/lint", lint);
+        assert!(
+            again_hits > 0 && again_misses == 0,
+            "{again_hits}/{again_misses}"
         );
     }
 

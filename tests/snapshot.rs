@@ -197,3 +197,49 @@ fn roundtrip_through_disk_is_lossless() {
         schema.dispatch_cache_stats().index_entries
     );
 }
+
+/// Rewrites the supertype target of the last type in a snapshot's types
+/// section, then reseals that section's checksum and the trailer, so only
+/// the decoder's own checks stand between the edit and a loaded schema.
+/// The last 8 bytes of the types payload are the last type's final super
+/// link (target `u32`, precedence `i32`).
+fn with_last_super_target(mut bytes: Vec<u8>, target: u32) -> Vec<u8> {
+    let word = |b: &[u8], at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&b[at..at + n]);
+        u64::from_le_bytes(le) as usize
+    };
+    let n_sections = word(&bytes, 12, 4);
+    for row in (0..n_sections).map(|i| 16 + i * 28) {
+        if word(&bytes, row, 4) != 3 {
+            continue; // not the types section
+        }
+        let (offset, len) = (word(&bytes, row + 4, 8), word(&bytes, row + 12, 8));
+        let end = offset + len;
+        bytes[end - 8..end - 4].copy_from_slice(&target.to_le_bytes());
+        let checksum = fnv1a(&bytes[offset..end]);
+        bytes[row + 20..row + 28].copy_from_slice(&checksum.to_le_bytes());
+    }
+    reseal(bytes)
+}
+
+#[test]
+fn resealed_out_of_range_ids_and_cycles_are_corrupt() {
+    let schema = parse_schema("type A { x: int }\ntype B : A { y: int }\n").unwrap();
+    schema.warm_caches();
+    let bytes = save_snapshot(&schema, &[]);
+    assert!(load_snapshot(&with_last_super_target(bytes.clone(), 0)).is_ok());
+    // B's supertype rewritten to a type id past the arena, then to B
+    // itself: both pass every checksum and must still be refused.
+    for (target, what) in [(99, "out-of-range supertype"), (1, "self-loop")] {
+        let tampered = with_last_super_target(bytes.clone(), target);
+        match load_snapshot(&tampered) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => panic!(
+                "{what}: expected Corrupt, got {:?}",
+                other.map(|_| "a schema")
+            ),
+        }
+        assert!(snapshot_info(&tampered).is_err(), "{what}");
+    }
+}
