@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use td_core::applicability::compute_applicability_indexed;
-use td_core::body_rewrite::{collect_flow_edges, compute_y_and_z};
+use td_core::body_rewrite::{collect_flow_edges, compute_x, compute_y_and_z};
 use td_model::{
     AnalysisPrecision, AttrBitSet, AttrId, Diagnostic, Expr, LintCode, MethodId, MethodKind,
     Schema, Span, Specializer, TypeId,
@@ -283,6 +283,7 @@ fn check_unreachable_methods(
     // tuple that targets the method most directly (the source where the
     // specializer admits it, the specializer itself elsewhere) and see
     // which projection survivor actually wins.
+    let above_source = schema.ancestor_set(source);
     let mut shadowed_by: BTreeMap<MethodId, MethodId> = BTreeMap::new();
     for &m in &app.applicable {
         let method = schema.method(m);
@@ -294,7 +295,7 @@ fn check_unreachable_methods(
             .iter()
             .map(|s| match s {
                 Specializer::Type(t) => {
-                    if schema.is_subtype(source, *t) {
+                    if above_source.contains(*t) {
                         td_model::CallArg::Object(source)
                     } else {
                         td_model::CallArg::Object(*t)
@@ -406,13 +407,7 @@ fn check_interproc_augment(
     diags: &mut Vec<Diagnostic>,
 ) {
     let _s = td_telemetry::span("analyze", "typeflow");
-    let owners: BTreeSet<TypeId> = projection.iter().map(|&a| schema.attr(a).owner).collect();
-    let x: BTreeSet<TypeId> = schema
-        .live_type_ids()
-        .filter(|&u| {
-            schema.is_subtype(source, u) && owners.iter().any(|&o| schema.is_subtype(u, o))
-        })
-        .collect();
+    let x = compute_x(schema, source, projection);
     let intra = collect_flow_edges(schema, &app.applicable);
     let (_, z_intra) = compute_y_and_z(&intra, &x);
     let mut edges = intra;

@@ -17,7 +17,7 @@
 //!    result type when a returned value flows from a converted parameter.
 
 use std::collections::{BTreeSet, HashMap};
-use td_model::{MethodId, Schema, TypeId, ValueType, VarId};
+use td_model::{AttrId, MethodId, Schema, TypeId, ValueType, VarId};
 
 use crate::error::{CoreError, Result};
 use crate::surrogates::SurrogateRegistry;
@@ -45,6 +45,22 @@ pub fn compute_y_and_z(
     }
     let z: BTreeSet<TypeId> = y.difference(x).copied().collect();
     (y, z)
+}
+
+/// The `X` of [`compute_y_and_z`] as `FactorState` will seed it, read off
+/// the hierarchy before deriving: the live types at or above `source`
+/// and at or below an owner of a projected attribute.
+pub fn compute_x(
+    schema: &Schema,
+    source: TypeId,
+    projection: &BTreeSet<AttrId>,
+) -> BTreeSet<TypeId> {
+    let below_owner = schema.descendant_set(projection.iter().map(|&a| schema.attr(a).owner));
+    schema
+        .ancestor_set(source)
+        .iter()
+        .filter(|&u| schema.is_live(u) && below_owner.contains(u))
+        .collect()
 }
 
 /// Collects the §6.4 definition-use edges over the applicable methods.

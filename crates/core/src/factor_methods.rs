@@ -37,6 +37,9 @@ pub fn factor_methods(
     source: TypeId,
     applicable: &[MethodId],
 ) -> Vec<SignatureChange> {
+    // Rewriting signatures moves no supertype edge, so one walk up from
+    // `source` serves every method.
+    let above_source = schema.ancestor_set(source);
     let mut changes = Vec::new();
     for &m in applicable {
         let old = schema.method(m).specializers.clone();
@@ -44,7 +47,7 @@ pub fn factor_methods(
         let mut changed = false;
         for spec in &mut new {
             if let Specializer::Type(t) = spec {
-                if !schema.is_subtype(source, *t) {
+                if !above_source.contains(*t) {
                     continue;
                 }
                 if let Some(hat) = registry.surrogate(*t) {
@@ -69,11 +72,12 @@ pub fn converted_positions(
     source: TypeId,
     old: &[Specializer],
 ) -> Vec<usize> {
+    let above_source = schema.ancestor_set(source);
     old.iter()
         .enumerate()
         .filter_map(|(i, s)| match s {
             Specializer::Type(t)
-                if schema.is_subtype(source, *t) && registry.surrogate(*t).is_some() =>
+                if above_source.contains(*t) && registry.surrogate(*t).is_some() =>
             {
                 Some(i)
             }

@@ -27,18 +27,19 @@
 //!
 //! 1. **I5 first.** A schema that fails validation makes the other checks
 //!    meaningless. A valid `after` has a CPL for every live type.
-//! 2. **Affected types.** A live type of `before` is *touched* when its
+//! 2. **Affected types.** A type slot of `before` is *touched* when its
 //!    node differs in `after`: its supers with their precedences, its
-//!    local attributes, its surrogate origin or its liveness. It is
-//!    *affected* when its `before` ancestor closure contains a touched
-//!    type (one memoized pass over the `before` DAG). By induction over
-//!    supers, an unaffected type has the same ancestor closure in both
-//!    schemas, so the same CPL (linearization reads only the closure's
-//!    supers), the same collapsed ranks (they read only the CPL's
-//!    surrogate origins) and the same cumulative attributes.
+//!    local attributes, its surrogate origin or its liveness. A live type
+//!    is *affected* when its `before` ancestor closure contains a touched
+//!    type: the affected types are one `descendant_set` of the touched
+//!    ones over `before`'s subtype lists. By induction over supers, an
+//!    unaffected type has the same ancestor closure in both schemas, so
+//!    the same CPL (linearization reads only the closure's supers), the
+//!    same collapsed ranks (they read only the CPL's surrogate origins)
+//!    and the same cumulative attributes.
 //! 3. **I1 and subtype preservation** thus hold for every unaffected
-//!    type. For each affected type the two ancestor bit rows are
-//!    compared, restricted to original types: O(affected × types / 64).
+//!    type. For each affected type its two `ancestor_set`s are compared,
+//!    restricted to original types: O(affected × types / 64).
 //! 4. **I2 by dispatch facts.** For a method `m` of a generic function
 //!    `g`, an argument position `i` and an original type `t`, the *fact*
 //!    is `None` when `t` is not below `m`'s `i`-th specializer, else the
@@ -53,7 +54,8 @@
 //!    affected type (step 2), and only if the specializer is in one of
 //!    that type's two rank tables. Where it was retargeted (or exists on
 //!    one side only), every original type below the old or the new
-//!    specializer is compared; every other type reads `None` twice.
+//!    specializer (a `descendant_set` on each side) is compared; every
+//!    other type reads `None` twice.
 //! 5. **Replay only where a fact differs.** For a difference at
 //!    `(g, i, t)`, every tuple of `g` with `t` at `i` and original types
 //!    elsewhere is dispatched on both schemas, in the exhaustive
@@ -69,7 +71,9 @@
 //! telemetry registry, which `tdv serve` exposes on `/metrics`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use td_model::{AttrId, CallArg, DispatchCacheStats, GfId, MethodId, Schema, Specializer, TypeId};
+use td_model::{
+    AttrId, CallArg, DispatchCacheStats, GfId, MethodId, Schema, Specializer, TypeId, TypeSet,
+};
 
 /// One observed divergence from the paper's guarantees.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,16 +181,18 @@ pub fn check_invariants(
 
 /// I1, subtype preservation and I2 (steps 2–5 of the module doc).
 fn check_preservation(before: &Schema, after: &Schema, report: &mut InvariantReport) {
-    let originals = Originals::of(before);
-    let affected = affected_types(before, after);
+    // The live types of `before`, in id order (the exhaustive
+    // enumeration's order), and an original's position there.
+    let originals: Vec<TypeId> = before.live_type_ids().collect();
+    let pos = |t: TypeId| originals.binary_search(&t).expect("an original type");
+    let (below_b, below_a) = (before.subtype_lists(), after.subtype_lists());
+    let affected = below_b.descendant_set(touched_types(before, after));
     let specs = Specializers::of(before, after);
-    let words = before.n_types().max(after.n_types()).div_ceil(64);
     let mut dirty = Dirty::default();
     let mut subtype = Vec::new();
 
-    for &t in originals.ids.iter().filter(|t| affected[t.index()]) {
-        let row_b = ancestor_row(before, t, words);
-        let row_a = ancestor_row(after, t, words);
+    for &t in originals.iter().filter(|&&t| affected.contains(t)) {
+        let (row_b, row_a) = (before.ancestor_set(t), after.ancestor_set(t));
 
         // I1: cumulative state.
         let b = row_attrs(before, &row_b);
@@ -200,20 +206,21 @@ fn check_preservation(before: &Schema, after: &Schema, report: &mut InvariantRep
         }
 
         // Subtype preservation: the rows' differences among originals.
-        for (w, &mask) in originals.mask.iter().enumerate() {
-            for y in bits(w, (row_b[w] ^ row_a[w]) & mask) {
-                subtype.push(Violation::SubtypeChanged {
-                    sub: t,
-                    sup: y,
-                    before: has(&row_b, y),
-                    after: has(&row_a, y),
-                });
-            }
+        let changed: BTreeSet<TypeId> = (row_b.iter().chain(row_a.iter()))
+            .filter(|&y| before.is_live(y) && row_b.contains(y) != row_a.contains(y))
+            .collect();
+        for y in changed {
+            subtype.push(Violation::SubtypeChanged {
+                sub: t,
+                sup: y,
+                before: row_b.contains(y),
+                after: row_a.contains(y),
+            });
         }
 
         // I2: facts of kept specializers, which only `t`'s two rank
         // tables can tell apart.
-        let p = originals.pos[t.index()];
+        let p = pos(t);
         match (before.specificity_ranks(t), after.specificity_ranks(t)) {
             (Ok(rb), Ok(ra)) => {
                 let mut facts: BTreeMap<TypeId, [Option<usize>; 2]> = BTreeMap::new();
@@ -244,31 +251,22 @@ fn check_preservation(before: &Schema, after: &Schema, report: &mut InvariantRep
 
     // I2: facts of retargeted specializers, over every original type
     // below the old or the new one.
-    if !specs.changed.is_empty() {
-        let (down_b, down_a) = (subtypes_index(before), subtypes_index(after));
-        for (&(old, new), sites) in &specs.changed {
-            let mut below = BTreeSet::new();
-            if let Some(s) = old {
-                below.extend(originals.below(&down_b, s));
-            }
-            if let Some(s) = new {
-                below.extend(originals.below(&down_a, s));
-            }
-            for p in below {
-                let t = originals.ids[p];
-                report.dispatch_facts_checked += 1;
-                let differs = match (fact(before, t, old), fact(after, t, new)) {
-                    (Ok(fb), Ok(fa)) => fb != fa,
-                    _ => true,
-                };
-                if differs {
-                    dirty.mark(before, sites, p);
-                }
+    for (&(old, new), sites) in &specs.changed {
+        let mut below = below_b.descendant_set(old);
+        below.union_with(&below_a.descendant_set(new));
+        for t in below.iter().filter(|&t| before.is_live(t)) {
+            report.dispatch_facts_checked += 1;
+            let differs = match (fact(before, t, old), fact(after, t, new)) {
+                (Ok(fb), Ok(fa)) => fb != fa,
+                _ => true,
+            };
+            if differs {
+                dirty.mark(before, sites, pos(t));
             }
         }
     }
 
-    dirty.replay(before, after, &originals.ids, report);
+    dirty.replay(before, after, &originals, report);
 }
 
 /// I3 and I4: the derived type's state and behavior.
@@ -304,134 +302,21 @@ fn check_derived(
     }
 }
 
-/// The live types of `before`: the types every guarantee is about.
-struct Originals {
-    /// In id order, which is the exhaustive enumeration's order.
-    ids: Vec<TypeId>,
-    /// Position in `ids`, by type index.
-    pos: Vec<usize>,
-    /// Bit row of the original types.
-    mask: Vec<u64>,
-}
-
-impl Originals {
-    fn of(before: &Schema) -> Originals {
-        let ids: Vec<TypeId> = before.live_type_ids().collect();
-        let mut pos = vec![usize::MAX; before.n_types()];
-        let mut mask = vec![0u64; before.n_types().div_ceil(64)];
-        for (p, &t) in ids.iter().enumerate() {
-            pos[t.index()] = p;
-            mask[t.index() / 64] |= 1 << (t.index() % 64);
-        }
-        Originals { ids, pos, mask }
-    }
-
-    /// Positions of the original types at or below `s`, given the direct
-    /// subtypes of every type of one schema.
-    fn below(&self, down: &[Vec<TypeId>], s: TypeId) -> Vec<usize> {
-        let mut seen = vec![false; down.len()];
-        let mut stack = vec![s];
-        let mut out = Vec::new();
-        while let Some(t) = stack.pop() {
-            if std::mem::replace(&mut seen[t.index()], true) {
-                continue;
-            }
-            if let Some(&p) = self.pos.get(t.index()).filter(|&&p| p != usize::MAX) {
-                out.push(p);
-            }
-            stack.extend(&down[t.index()]);
-        }
-        out
-    }
-}
-
-/// Step 2: `affected[t]` for every live type of `before`.
-fn affected_types(before: &Schema, after: &Schema) -> Vec<bool> {
-    let touched = |t: TypeId| {
-        if !after.is_live(t) {
-            return true;
-        }
+/// Step 2: the type slots of `before` whose node differs in `after`
+/// (retired ones included: they are not live in `after`).
+fn touched_types<'a>(before: &'a Schema, after: &'a Schema) -> impl Iterator<Item = TypeId> + 'a {
+    (0..before.n_types()).map(TypeId::from_index).filter(|&t| {
         let (b, a) = (before.type_(t), after.type_(t));
-        b.supers() != a.supers() || b.local_attrs != a.local_attrs || b.origin != a.origin
-    };
-    let n = before.n_types();
-    let mut affected = vec![false; n];
-    // 0 = new, 1 = open, 2 = done: a type is decided after its supers.
-    let mut state = vec![0u8; n];
-    for root in before.live_type_ids() {
-        let mut stack = vec![(root, false)];
-        while let Some((t, supers_done)) = stack.pop() {
-            let i = t.index();
-            if supers_done {
-                affected[i] =
-                    touched(t) || before.type_(t).super_ids().any(|s| affected[s.index()]);
-                state[i] = 2;
-                continue;
-            }
-            if state[i] != 0 {
-                continue;
-            }
-            state[i] = 1;
-            stack.push((t, true));
-            for s in before.type_(t).super_ids() {
-                if state[s.index()] == 0 {
-                    stack.push((s, false));
-                }
-            }
-        }
-    }
-    affected
-}
-
-/// `t` and its ancestors in `schema`, as a bit row of `words` words.
-fn ancestor_row(schema: &Schema, t: TypeId, words: usize) -> Vec<u64> {
-    let mut row = vec![0u64; words];
-    row[t.index() / 64] |= 1 << (t.index() % 64);
-    let mut stack = vec![t];
-    while let Some(x) = stack.pop() {
-        for s in schema.type_(x).super_ids() {
-            if !has(&row, s) {
-                row[s.index() / 64] |= 1 << (s.index() % 64);
-                stack.push(s);
-            }
-        }
-    }
-    row
-}
-
-fn has(row: &[u64], t: TypeId) -> bool {
-    row[t.index() / 64] & (1 << (t.index() % 64)) != 0
-}
-
-/// The types whose bits are set in `word`, word `w` of a row.
-fn bits(w: usize, mut word: u64) -> impl Iterator<Item = TypeId> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let bit = word.trailing_zeros() as usize;
-            word &= word - 1;
-            TypeId::from_index(w * 64 + bit)
-        })
+        !after.is_live(t)
+            || (b.supers(), &b.local_attrs, b.origin) != (a.supers(), &a.local_attrs, a.origin)
     })
 }
 
-/// The cumulative state of the types in an ancestor row.
-fn row_attrs(schema: &Schema, row: &[u64]) -> BTreeSet<AttrId> {
+/// The cumulative state of the types in an ancestor set.
+fn row_attrs(schema: &Schema, row: &TypeSet) -> BTreeSet<AttrId> {
     row.iter()
-        .enumerate()
-        .flat_map(|(w, &word)| bits(w, word))
         .flat_map(|t| schema.type_(t).local_attrs.iter().copied())
         .collect()
-}
-
-/// The direct subtypes of every type of `schema`, by type index.
-fn subtypes_index(schema: &Schema) -> Vec<Vec<TypeId>> {
-    let mut down = vec![Vec::new(); schema.n_types()];
-    for t in schema.live_type_ids() {
-        for s in schema.type_(t).super_ids() {
-            down[s.index()].push(t);
-        }
-    }
-    down
 }
 
 /// The step-4 fact of specializer `spec` at an argument of type `t`.

@@ -42,11 +42,11 @@ use std::sync::Arc;
 
 use td_model::{
     AttrId, CallArg, Diagnostic, GfId, LintCode, LintKey, LintReport, MethodId, Schema, Span,
-    Specializer, TypeId,
+    Specializer, SubtypeLists, TypeId,
 };
 
 use crate::applicability::compute_applicability_indexed;
-use crate::body_rewrite::{collect_flow_edges, compute_y_and_z};
+use crate::body_rewrite::{collect_flow_edges, compute_x, compute_y_and_z};
 
 /// Runs the full analyzer: the schema-wide checks (validation, TDL001,
 /// TDL002), plus — when a request is given — the projection-safety checks
@@ -153,13 +153,13 @@ fn check_surrogate_wiring(schema: &Schema, diags: &mut Vec<Diagnostic>) {
 /// lexicographic rule still picks a winner there, but the pick depends on
 /// argument order — the classic multi-method confusability of §3.
 fn check_dispatch_ambiguity(schema: &Schema, diags: &mut Vec<Diagnostic>) {
-    let live: Vec<TypeId> = schema.live_type_ids().collect();
+    let below = schema.subtype_lists();
     let mut seen: BTreeSet<(GfId, Vec<MethodId>)> = BTreeSet::new();
     for g in schema.gf_ids() {
         let methods = schema.gf(g).methods.clone();
         for (i, &m1) in methods.iter().enumerate() {
             for &m2 in &methods[i + 1..] {
-                let Some(witness) = unify_pair(schema, &live, m1, m2) else {
+                let Some(witness) = unify_pair(schema, &below, m1, m2) else {
                     continue;
                 };
                 let applicable = schema.applicable_methods(g, &witness);
@@ -240,7 +240,7 @@ fn check_dispatch_ambiguity(schema: &Schema, diags: &mut Vec<Diagnostic>) {
 /// some position has no common instances.
 fn unify_pair(
     schema: &Schema,
-    live: &[TypeId],
+    below: &SubtypeLists<'_>,
     m1: MethodId,
     m2: MethodId,
 ) -> Option<Vec<CallArg>> {
@@ -256,20 +256,17 @@ fn unify_pair(
                 witness.push(CallArg::Prim(*p));
             }
             (Specializer::Type(t1), Specializer::Type(t2)) => {
-                let common: Vec<TypeId> = live
+                let below_t2 = below.descendant_set([*t2]);
+                let common: Vec<TypeId> = below
+                    .descendant_set([*t1])
                     .iter()
-                    .copied()
-                    .filter(|&t| schema.is_subtype(t, *t1) && schema.is_subtype(t, *t2))
+                    .filter(|&t| below_t2.contains(t) && schema.is_live(t))
                     .collect();
-                let most_generic = common
-                    .iter()
-                    .copied()
-                    .filter(|&t| {
-                        !common
-                            .iter()
-                            .any(|&u| u != t && schema.is_proper_subtype(t, u))
-                    })
-                    .min()?;
+                // In id order, so the first maximal one is the lowest id.
+                let most_generic = common.iter().copied().find(|&t| {
+                    let above = schema.ancestor_set(t);
+                    !common.iter().any(|&u| u != t && above.contains(u))
+                })?;
                 witness.push(CallArg::Object(most_generic));
             }
             _ => return None,
@@ -476,13 +473,7 @@ fn check_augment_hazards(
     applicable: &[MethodId],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let owners: BTreeSet<TypeId> = projection.iter().map(|&a| schema.attr(a).owner).collect();
-    let x: BTreeSet<TypeId> = schema
-        .live_type_ids()
-        .filter(|&u| {
-            schema.is_subtype(source, u) && owners.iter().any(|&o| schema.is_subtype(u, o))
-        })
-        .collect();
+    let x = compute_x(schema, source, projection);
     let edges = collect_flow_edges(schema, applicable);
     let (y, z) = compute_y_and_z(&edges, &x);
     if z.is_empty() {

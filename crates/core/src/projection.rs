@@ -304,10 +304,11 @@ pub fn project(
     // to `Augment`, so the surrogate lattice mirrors every
     // assignment-relevant subtype path (`^V ≤ ^U` whenever a `V`-typed
     // value flows into a `U`-typed slot).
+    let above_source = schema.ancestor_set(source);
     let mut coverage: BTreeSet<TypeId> = BTreeSet::new();
     for &m in &applicability.applicable {
         for (_, ti) in schema.method(m).type_specializers() {
-            if schema.is_subtype(source, ti) && registry.surrogate(ti).is_none() {
+            if above_source.contains(ti) && registry.surrogate(ti).is_none() {
                 coverage.insert(ti);
             }
         }

@@ -51,7 +51,7 @@
 
 use crate::dispatch::CallArg;
 use crate::error::Result;
-use crate::ids::{AttrId, MethodId, TypeId};
+use crate::ids::{AttrBitSet, AttrId, MethodId, TypeId};
 use crate::schema::Schema;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -123,84 +123,6 @@ enum SiteRefinement {
     /// The candidates are incomparable or still undecided; keep the
     /// syntactic fallback treatment.
     Fallback,
-}
-
-/// A dense attribute bitset keyed by [`AttrId`] arena index.
-///
-/// One bit per attribute slot of the schema the set was sized for;
-/// operations between sets sized for the same schema are word-parallel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttrBitSet {
-    words: Vec<u64>,
-}
-
-impl AttrBitSet {
-    /// An empty set sized for a schema with `n_attrs` attribute slots.
-    pub fn new(n_attrs: usize) -> AttrBitSet {
-        AttrBitSet {
-            words: vec![0u64; n_attrs.div_ceil(64).max(1)],
-        }
-    }
-
-    /// Inserts an attribute (growing the set if the id is beyond the
-    /// sized capacity, so stale sizing degrades to allocation, not loss).
-    pub fn insert(&mut self, a: AttrId) {
-        let w = a.index() / 64;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1u64 << (a.index() % 64);
-    }
-
-    /// True iff the attribute is in the set.
-    pub fn contains(&self, a: AttrId) -> bool {
-        self.words
-            .get(a.index() / 64)
-            .is_some_and(|w| w & (1u64 << (a.index() % 64)) != 0)
-    }
-
-    /// `self |= other`.
-    pub fn union_with(&mut self, other: &AttrBitSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (dst, &src) in self.words.iter_mut().zip(other.words.iter()) {
-            *dst |= src;
-        }
-    }
-
-    /// True iff every attribute of `self` is in `other`.
-    pub fn is_subset(&self, other: &AttrBitSet) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
-    }
-
-    /// Iterates the members in id order.
-    pub fn iter(&self) -> impl Iterator<Item = AttrId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                Some(AttrId::from_index(wi * 64 + bit))
-            })
-        })
-    }
-
-    /// Number of attributes in the set.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True iff the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
 }
 
 /// The per-`(schema generation, source type)` applicability index.

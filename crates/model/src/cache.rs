@@ -21,7 +21,11 @@
 //!   the stale entries: CPLs and rank tables of dirty types, dispatch
 //!   tables of touched generic functions or dirty argument types, and
 //!   indexes whose source is dirty, whose universe holds a touched method
-//!   or whose source a touched method now reaches. The rest survive warm.
+//!   or whose source a touched method now reaches. The dirty types are one
+//!   [`Schema::descendant_set`] of the touched types, and the sources a
+//!   touched method reaches one more of its specializers, over one set of
+//!   subtype lists: the closure costs a sweep of the type slots plus the
+//!   size of what it closes over. The rest survive warm.
 //!   [`Schema::carry_warm_from`] feeds the same closure from a
 //!   [`SchemaDiff`]'s names and keeps the donor entries it leaves clean.
 //! * **One counter list.** The counters are one [`DispatchCacheStats`],
@@ -31,10 +35,10 @@
 //! This is sound: if a batch of mutations changes any type `X`'s ancestor
 //! set, some edge on an old or new ancestor path of `X` changed at a node
 //! `n` reachable from `X` through edges that did *not* change below it
-//! (induction on the lowest changed node of the path), so `X ∈
-//! descendants(n)` at read time. Dispatch entries depend only on their
-//! argument types' upward reachability, which the same argument covers;
-//! method-shaped deltas carry their gf and method ids explicitly.
+//! (induction on the lowest changed node of the path), so `X` is in the
+//! `descendant_set` of `n` at read time. Dispatch entries depend only on
+//! their argument types' upward reachability, which the same argument
+//! covers; method-shaped deltas carry their gf and method ids explicitly.
 //!
 //! The cache lives inside [`Schema`] behind a `Mutex` (keeping `Schema:
 //! Send + Sync`) and is cloned with it: a clone is a snapshot, so its warm
@@ -51,7 +55,7 @@ use crate::delta::{CarryReport, SchemaDelta, SchemaDiff};
 use crate::diag::LintReport;
 use crate::dispatch::CallArg;
 use crate::error::Result;
-use crate::ids::{AttrId, GfId, MethodId, TypeId};
+use crate::ids::{AttrId, GfId, MethodId, TypeId, TypeSet};
 use crate::schema::Schema;
 use crate::stats::DispatchCacheStats;
 use std::collections::{HashMap, HashSet};
@@ -140,8 +144,8 @@ const ANALYSIS: Table<AnalysisKey, LintReport> = table!(analysis, analysis_hits,
 
 /// What a batch of edits touched. Live deltas fill it as they are
 /// recorded; [`Schema::carry_warm_from`] fills it from a diff's names.
-/// [`Dirty::close`] turns it into the staleness rule both apply: a CPL or
-/// rank table is stale iff its type is in the closed `types`.
+/// [`Dirty::close`] closes it over the hierarchy into the staleness rule
+/// both apply: a CPL or rank table is stale iff its type is `below`.
 #[derive(Debug, Clone, Default)]
 struct Dirty {
     /// An unbounded mutation was recorded: flush everything.
@@ -155,6 +159,12 @@ struct Dirty {
     /// An attribute definition was touched: indexes survive (footprints
     /// use stable ids), analysis reports do not (they read value types).
     attrs_touched: bool,
+    /// Set by [`Dirty::close`]: the touched types and every live type
+    /// below one.
+    below: TypeSet,
+    /// Set by [`Dirty::close`]: the types a touched method applies to,
+    /// i.e. its specializers and every live type below one.
+    reached: TypeSet,
 }
 
 impl Dirty {
@@ -176,37 +186,35 @@ impl Dirty {
         }
     }
 
-    /// Closes the touched types downward over `schema`'s hierarchy: every
-    /// cached artifact of a type depends on its ancestor chain, so a
-    /// touched node dirties itself and its transitive subtypes. The walk
-    /// reads raw supertype edges and never re-enters the cache.
+    /// Closes the touched types and the touched methods' specializers
+    /// downward over `schema`'s hierarchy (every cached artifact of a
+    /// type depends on its ancestor chain), in two walks over one set of
+    /// subtype lists that read raw edges and never re-enter the cache.
     fn close(mut self, schema: &Schema) -> Dirty {
-        let mut closed = HashSet::new();
-        for t in self.types {
-            if closed.insert(t) {
-                closed.extend(schema.descendants(t));
-            }
-        }
-        self.types = closed;
+        let lists = schema.subtype_lists();
+        self.below = lists.descendant_set(self.types.iter().copied());
+        self.reached = lists.descendant_set(
+            self.methods
+                .iter()
+                .flat_map(|&m| schema.method(m).type_specializers().map(|(_, s)| s)),
+        );
         self
     }
 
     /// A dispatch table is stale iff its gf was touched or one of its
     /// argument types is dirty.
     fn call(&self, (gf, args): &CallKey) -> bool {
-        let dirty_arg = |a: &CallArg| matches!(a, CallArg::Object(t) if self.types.contains(t));
+        let dirty_arg = |a: &CallArg| matches!(a, CallArg::Object(t) if self.below.contains(*t));
         self.gfs.contains(gf) || args.iter().any(dirty_arg)
     }
 
-    /// The index of `source` is stale iff `source` is dirty, its universe
-    /// (`node_of`) contains a touched method, or a touched method now
-    /// applies to `source` (and would enter the universe on rebuild).
-    /// `method_applicable_to_type` reads raw edges: safe under the lock.
-    fn index(&self, schema: &Schema, source: TypeId, idx: &ApplicabilityIndex) -> bool {
-        self.types.contains(&source)
-            || self.methods.iter().any(|&m| {
-                idx.node_of.contains_key(&m) || schema.method_applicable_to_type(m, source)
-            })
+    /// The index of `source` is stale iff `source` is dirty, a touched
+    /// method now applies to `source` (and would enter the universe on
+    /// rebuild), or its universe (`node_of`) contains a touched method.
+    fn index(&self, source: TypeId, idx: &ApplicabilityIndex) -> bool {
+        self.below.contains(source)
+            || self.reached.contains(source)
+            || self.methods.iter().any(|m| idx.node_of.contains_key(m))
     }
 }
 
@@ -304,15 +312,15 @@ impl CacheInner {
         let e = &mut self.entries;
         let mut evicted = 0;
         if !dirty.types.is_empty() {
-            evicted += evict(&mut e.cpl, |t, _| dirty.types.contains(t));
-            evicted += evict(&mut e.ranks, |t, _| dirty.types.contains(t));
+            evicted += evict(&mut e.cpl, |t, _| dirty.below.contains(*t));
+            evicted += evict(&mut e.ranks, |t, _| dirty.below.contains(*t));
         }
         if !dirty.types.is_empty() || !dirty.gfs.is_empty() {
             evicted += evict(&mut e.applicable, |k, _| dirty.call(k));
             evicted += evict(&mut e.ranked, |k, _| dirty.call(k));
         }
         if !dirty.types.is_empty() || !dirty.methods.is_empty() {
-            evicted += evict(&mut e.index, |&(s, _), idx| dirty.index(schema, s, idx));
+            evicted += evict(&mut e.index, |&(s, _), idx| dirty.index(s, idx));
         }
         // Lint findings mention names, owners and dispatch outcomes
         // across the whole schema; every mutation flushes them (they
@@ -509,7 +517,7 @@ impl Schema {
         let mut inner = self.cache.lock();
         inner.refresh(self);
         let e = &mut inner.entries;
-        let live_type = |t: &TypeId| self.is_live(*t) && !dirty.types.contains(t);
+        let live_type = |t: &TypeId| self.is_live(*t) && !dirty.below.contains(*t);
         let live_call = |k: &CallKey| {
             let live = |a: &CallArg| !matches!(a, CallArg::Object(t) if !self.is_live(*t));
             k.1.iter().all(live) && !dirty.call(k)
@@ -520,7 +528,7 @@ impl Schema {
             dispatch: carry(&mut e.applicable, warm.applicable, |k, _| live_call(k))
                 + carry(&mut e.ranked, warm.ranked, |k, _| live_call(k)),
             indexes: carry(&mut e.index, warm.index, |&(s, _), idx| {
-                self.is_live(s) && !dirty.index(self, s, idx)
+                self.is_live(s) && !dirty.index(s, idx)
             }),
         }
     }

@@ -60,25 +60,19 @@ impl Schema {
     /// for a projection over `t`.
     ///
     /// §4's "some specializer is a supertype of `t`" is one walk up `t`'s
-    /// ancestors: mark `t` and every type its raw supertype edges reach,
-    /// then keep each method with a specializer on a marked type. That is
-    /// one DFS plus one pass over the methods, where testing each method
-    /// with [`Schema::method_applicable_to_type`] runs a DFS per
-    /// specializer. The walk reads edges, not the CPL, so a type with
-    /// inconsistent precedence (no CPL) still gets an answer. A
-    /// specializer id outside the type arena is above nothing, as it is
-    /// for `is_subtype`.
+    /// ancestors ([`Schema::ancestor_set`]) plus one pass over the
+    /// methods, where testing each method with
+    /// [`Schema::method_applicable_to_type`] runs a DFS per specializer.
+    /// The walk reads edges, not the CPL, so a type with inconsistent
+    /// precedence (no CPL) still gets an answer. A specializer id outside
+    /// the type arena is above nothing, as it is for `is_subtype`.
     pub fn methods_applicable_to_type(&self, t: TypeId) -> Vec<MethodId> {
-        let mut above = vec![false; self.n_types()];
-        above[t.index()] = true;
-        for a in self.ancestors(t) {
-            above[a.index()] = true;
-        }
+        let above = self.ancestor_set(t);
         self.method_ids()
             .filter(|&m| {
                 self.method(m)
                     .type_specializers()
-                    .any(|(_, s)| above.get(s.index()) == Some(&true))
+                    .any(|(_, s)| above.contains(s))
             })
             .collect()
     }
@@ -203,7 +197,10 @@ impl Schema {
                 CallArg::Prim(_) | CallArg::Null => None,
             });
         }
-        let rank_vec = |m: MethodId| -> Vec<usize> {
+        // An applicable method's specializer is in its argument's rank
+        // table unless the table is corrupt (a tampered snapshot): that
+        // is the error `specificity_vector` returns, not a panic.
+        let rank_vec = |m: MethodId| -> Result<Vec<usize>> {
             self.method(m)
                 .specializers
                 .iter()
@@ -213,13 +210,15 @@ impl Schema {
                         .iter()
                         .find(|&&(x, _)| x == *s)
                         .map(|&(_, r)| r)
-                        .expect("applicable method specializer must appear in argument CPL"),
-                    _ => 0,
+                        .ok_or(crate::error::ModelError::BadTypeId(*s)),
+                    _ => Ok(0),
                 })
                 .collect()
         };
-        let mut keyed: Vec<(Vec<usize>, MethodId)> =
-            applicable.into_iter().map(|m| (rank_vec(m), m)).collect();
+        let mut keyed: Vec<(Vec<usize>, MethodId)> = applicable
+            .into_iter()
+            .map(|m| Ok((rank_vec(m)?, m)))
+            .collect::<Result<_>>()?;
         keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         Ok(keyed.into_iter().map(|(_, m)| m).collect())
     }

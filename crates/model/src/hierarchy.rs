@@ -8,7 +8,7 @@
 
 use crate::attrs::AttrDef;
 use crate::error::{ModelError, Result};
-use crate::ids::{AttrId, NameId, TypeId};
+use crate::ids::{AttrId, NameId, TypeId, TypeSet};
 use crate::schema::Schema;
 use std::collections::BTreeSet;
 
@@ -186,12 +186,88 @@ impl Schema {
         v
     }
 
-    /// All proper subtypes of `t` (types whose instances are instances of
-    /// `t`), in no particular order.
+    /// All live proper subtypes of `t` (types whose instances are
+    /// instances of `t`), in ascending id order: `random_schema` indexes
+    /// into this list with its RNG.
     pub fn descendants(&self, t: TypeId) -> Vec<TypeId> {
-        self.live_type_ids()
-            .filter(|&x| x != t && self.is_subtype(x, t))
+        self.descendant_set([t])
+            .iter()
+            .filter(|&x| x != t)
             .collect()
+    }
+
+    /// `t` and every type above it: the set of `u` with
+    /// `is_subtype(t, u)`. Walks raw supertype edges, not the CPL, so a
+    /// type with inconsistent precedence still gets an answer. A `t`
+    /// outside the type arena reads as absent (the set is empty).
+    pub fn ancestor_set(&self, t: TypeId) -> TypeSet {
+        let mut above = TypeSet::new(self.n_types());
+        let mut stack = Vec::new();
+        if t.index() < self.n_types() {
+            above.insert(t);
+            stack.push(t);
+        }
+        while let Some(x) = stack.pop() {
+            for s in self.type_(x).super_ids() {
+                if !above.contains(s) {
+                    above.insert(s);
+                    stack.push(s);
+                }
+            }
+        }
+        above
+    }
+
+    /// The seeds plus every live type below one of them (see
+    /// [`SubtypeLists::descendant_set`]), through freshly built lists.
+    pub fn descendant_set(&self, seeds: impl IntoIterator<Item = TypeId>) -> TypeSet {
+        self.subtype_lists().descendant_set(seeds)
+    }
+
+    /// The direct subtypes of every type slot, live or retired, built in
+    /// one sweep over the slots' supertype edges.
+    pub fn subtype_lists(&self) -> SubtypeLists<'_> {
+        let mut below = vec![Vec::new(); self.n_types()];
+        for (i, node) in self.types.iter().enumerate() {
+            for link in &node.supers {
+                below[link.target.index()].push(TypeId::from_index(i));
+            }
+        }
+        SubtypeLists {
+            schema: self,
+            below,
+        }
+    }
+
+    /// The type a supertype edge closes a cycle at, if the hierarchy has
+    /// a cycle: a three-colour depth-first search from every type slot
+    /// in id order, naming the first edge target found on the current
+    /// path (the type `TDL101` reports).
+    pub fn find_cycle(&self) -> Option<TypeId> {
+        // 0 unseen, 1 on the current path, 2 finished.
+        let mut state = vec![0u8; self.n_types()];
+        for root in 0..self.n_types() {
+            let mut stack = vec![(TypeId::from_index(root), false)];
+            while let Some((t, finished)) = stack.pop() {
+                if finished {
+                    state[t.index()] = 2;
+                    continue;
+                }
+                if state[t.index()] != 0 {
+                    continue;
+                }
+                state[t.index()] = 1;
+                stack.push((t, true));
+                for s in self.type_(t).super_ids() {
+                    match state[s.index()] {
+                        0 => stack.push((s, false)),
+                        1 => return Some(s),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        None
     }
 
     /// Direct subtypes of `t` (types with a direct edge to `t`).
@@ -296,6 +372,44 @@ impl Schema {
     pub(crate) fn type_node_mut(&mut self, t: TypeId) -> &mut TypeNode {
         self.note_mutation(crate::delta::SchemaDelta::TypeTouched(t));
         &mut self.types[t.index()]
+    }
+}
+
+/// The direct subtypes of every type slot of one schema (from
+/// [`Schema::subtype_lists`]). A pass that asks many
+/// [`SubtypeLists::descendant_set`] queries of one schema builds the
+/// lists once.
+pub struct SubtypeLists<'s> {
+    schema: &'s Schema,
+    /// Direct subtypes, by type index.
+    below: Vec<Vec<TypeId>>,
+}
+
+impl SubtypeLists<'_> {
+    /// The seeds plus every live type below one of them — the set
+    /// `{x | is_subtype(x, s)}` of some seed `s`, restricted to live `x`
+    /// — in id order. A seed outside the type arena reads as absent.
+    pub fn descendant_set(&self, seeds: impl IntoIterator<Item = TypeId>) -> TypeSet {
+        let n = self.below.len();
+        let mut out = TypeSet::new(n);
+        let mut seen = TypeSet::new(n);
+        let mut stack: Vec<TypeId> = seeds.into_iter().filter(|s| s.index() < n).collect();
+        for &s in &stack {
+            out.insert(s);
+            seen.insert(s);
+        }
+        while let Some(t) = stack.pop() {
+            for &x in &self.below[t.index()] {
+                if !seen.contains(x) {
+                    seen.insert(x);
+                    if self.schema.is_live(x) {
+                        out.insert(x);
+                    }
+                    stack.push(x);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -415,6 +529,30 @@ mod tests {
         desc.sort();
         assert_eq!(desc, vec![b, c, d]);
         assert_eq!(s.direct_subtypes(a), vec![b, c]);
+    }
+
+    #[test]
+    fn find_cycle_names_the_type_tdl101_names() {
+        // X, B and C <= B; then X <= C and B <= C close B -> C -> B. The
+        // walk from X enters the cycle at C and meets C again on its
+        // path, so C is named: not the walk's root X, not the cycle's
+        // lowest id B.
+        let mut s = Schema::new();
+        let x = s.add_type("X", &[]).unwrap();
+        let b = s.add_type("B", &[]).unwrap();
+        let c = s.add_type("C", &[b]).unwrap();
+        assert_eq!(s.find_cycle(), None);
+        for t in [x, b] {
+            s.type_node_mut(t)
+                .supers
+                .push(SuperLink { target: c, prec: 1 });
+        }
+        assert_eq!(s.find_cycle(), Some(c));
+        let diags = s.validate_diagnostics();
+        assert_eq!(
+            diags[0].message,
+            "type hierarchy contains a cycle through `C`"
+        );
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod stats;
 pub mod text;
 pub mod validate;
 
-pub use appindex::{AnalysisPrecision, ApplicabilityIndex, AttrBitSet};
+pub use appindex::{AnalysisPrecision, ApplicabilityIndex};
 pub use attrs::{AttrDef, PrimType, ValueType};
 pub use body::{BinOp, Body, BodyBuilder, Expr, Literal, LocalVar, Stmt};
 pub use cache::{AnalysisKey, LintKey};
@@ -76,8 +76,8 @@ pub use delta::{diff_schemas, CarryReport, SchemaDelta, SchemaDiff};
 pub use diag::{Diagnostic, LintCode, LintReport, Severity, Span, SpanKind};
 pub use dispatch::CallArg;
 pub use error::{ModelError, Result};
-pub use hierarchy::{SuperLink, TypeNode, TypeOrigin};
-pub use ids::{AttrId, GfId, MethodId, NameId, TypeId, VarId};
+pub use hierarchy::{SubtypeLists, SuperLink, TypeNode, TypeOrigin};
+pub use ids::{AttrBitSet, AttrId, BitSet, GfId, MethodId, NameId, TypeId, TypeSet, VarId};
 pub use intern::NameTable;
 pub use methods::{GenericFunction, Method, MethodKind, Specializer};
 pub use schema::{Schema, SchemaSnapshot};

@@ -35,12 +35,12 @@
 //! results that re-derive quickly and would drag diagnostic strings into
 //! the wire format) and cache hit/miss counters (telemetry, not state).
 
-use crate::appindex::{AnalysisPrecision, ApplicabilityIndex, AttrBitSet};
+use crate::appindex::{AnalysisPrecision, ApplicabilityIndex};
 use crate::attrs::{AttrDef, PrimType, ValueType};
 use crate::body::{BinOp, Body, Expr, Literal, LocalVar, Stmt};
 use crate::cache::{CallKey, Entries, IndexKey};
 use crate::hierarchy::{SuperLink, TypeNode, TypeOrigin};
-use crate::ids::{AttrId, GfId, MethodId, NameId, TypeId, VarId};
+use crate::ids::{AttrBitSet, AttrId, GfId, MethodId, NameId, TypeId, VarId};
 use crate::intern::{fnv1a, NameTable};
 use crate::methods::{GenericFunction, Method, MethodKind, Specializer};
 use crate::schema::Schema;
@@ -1343,27 +1343,8 @@ fn check_ids(schema: &Schema, warm: &Entries) -> Sres<()> {
             "{section} section has an id out of range"
         )));
     }
-    // Three-colour depth-first search over the supertype edges: 0 unseen,
-    // 1 on the current path, 2 finished.
-    let mut state = vec![0u8; schema.types.len()];
-    for root in 0..state.len() {
-        let mut stack = vec![(root, 0)];
-        while let Some(top) = stack.last_mut() {
-            let (t, next) = *top;
-            top.1 += 1;
-            state[t] = state[t].max(1);
-            match schema.types[t].supers.get(next).map(|l| l.target.index()) {
-                Some(s) if state[s] == 1 => {
-                    return Err(SnapshotError::Corrupt("supertype cycle".into()));
-                }
-                Some(s) if state[s] == 0 => stack.push((s, 0)),
-                Some(_) => {}
-                None => {
-                    state[t] = 2;
-                    stack.pop();
-                }
-            }
-        }
+    if schema.find_cycle().is_some() {
+        return Err(SnapshotError::Corrupt("supertype cycle".into()));
     }
     Ok(())
 }

@@ -70,53 +70,15 @@ impl Schema {
     }
 
     fn collect_hierarchy_errors(&self, errs: &mut Vec<ModelError>) {
-        // Acyclicity via DFS coloring.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Grey,
-            Black,
+        if let Some(t) = self.find_cycle() {
+            errs.push(ModelError::CyclicHierarchy(t));
+            return;
         }
-        let n = self.n_types();
-        let mut color = vec![Color::White; n];
-        let mut cyclic = false;
-        for root in self.live_type_ids() {
-            if color[root.index()] != Color::White {
-                continue;
-            }
-            // Iterative DFS with explicit finish events.
-            let mut stack: Vec<(TypeId, bool)> = vec![(root, false)];
-            while let Some((t, finished)) = stack.pop() {
-                if finished {
-                    color[t.index()] = Color::Black;
-                    continue;
-                }
-                match color[t.index()] {
-                    Color::Black | Color::Grey => continue,
-                    Color::White => {}
-                }
-                color[t.index()] = Color::Grey;
-                stack.push((t, true));
-                for link in self.type_(t).supers() {
-                    match color[link.target.index()] {
-                        Color::Grey => {
-                            if !cyclic {
-                                errs.push(ModelError::CyclicHierarchy(link.target));
-                            }
-                            cyclic = true;
-                        }
-                        Color::White => stack.push((link.target, false)),
-                        Color::Black => {}
-                    }
-                }
-            }
-        }
-        // CPL existence — only meaningful on an acyclic hierarchy.
-        if !cyclic {
-            for t in self.live_type_ids() {
-                if let Err(e) = self.cpl(t) {
-                    errs.push(e);
-                }
+        // CPL existence (only meaningful on an acyclic hierarchy), read
+        // off the memo's `Arc` without cloning the list.
+        for t in self.live_type_ids() {
+            if let Err(e) = self.cached_cpl(t) {
+                errs.push(e);
             }
         }
     }

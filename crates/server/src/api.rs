@@ -114,8 +114,10 @@ pub struct RequestRecord {
     pub cache_hits: u64,
     /// Cache misses, charged like `cache_hits`.
     pub cache_misses: u64,
-    /// I1–I5 violations the request's derivations reported (registry
-    /// `core/invariant_violations` counter movement).
+    /// I1–I5 violations the request's own derivation reported: its
+    /// `InvariantReport`'s count for `project`, the derivations with any
+    /// violation (`BatchStats::invariant_violations`) for `batch`, zero
+    /// for reads.
     pub invariant_violations: u64,
 }
 
@@ -142,10 +144,15 @@ impl RequestRecord {
     }
 }
 
-/// The registry's I1–I5 violation total, which every served derivation
-/// adds to; the flight recorder charges a request with its movement.
-fn invariant_violations() -> u64 {
-    td_telemetry::metrics::counter("core/invariant_violations").get()
+/// What a compute handler charges its request's record with, taken from
+/// its own work rather than from process-wide counters that concurrent
+/// requests also move.
+#[derive(Default)]
+struct Charge {
+    /// Dispatch-cache movement on the schema the handler ran on.
+    cache: DispatchCacheStats,
+    /// I1–I5 violations its derivations reported.
+    invariant_violations: u64,
 }
 
 /// The server's request-independent state: the tenant registry plus
@@ -236,9 +243,8 @@ impl Api {
         let start_ns = td_telemetry::now_ns();
         let endpoint = endpoint_key(method, path);
         let scope = ctx.trace.map(td_telemetry::trace_scope);
-        let violations_before = invariant_violations();
-        let mut cache = DispatchCacheStats::default();
-        let result = self.route(method, path, query, body, &mut cache);
+        let mut charge = Charge::default();
+        let result = self.route(method, path, query, body, &mut charge);
         let end_ns = td_telemetry::now_ns();
         let elapsed_us = started.elapsed().as_micros() as u64;
         let total_us = ctx.queue_us + elapsed_us;
@@ -287,7 +293,7 @@ impl Api {
                 end_ns.saturating_sub(start_ns),
                 vec![("status", i64::from(status).into())],
             );
-            let (cache_hits, cache_misses) = cache.hits_and_misses();
+            let (cache_hits, cache_misses) = charge.cache.hits_and_misses();
             let record = RequestRecord {
                 trace: trace.to_string(),
                 tenant: ctx.tenant.clone().unwrap_or_else(|| "default".to_string()),
@@ -300,7 +306,7 @@ impl Api {
                 total_us,
                 cache_hits,
                 cache_misses,
-                invariant_violations: invariant_violations().saturating_sub(violations_before),
+                invariant_violations: charge.invariant_violations,
             };
             let mut recorder = self.recorder.lock().unwrap_or_else(|e| e.into_inner());
             if recorder.len() >= FLIGHT_RECORDER_CAPACITY {
@@ -330,15 +336,14 @@ impl Api {
         }
     }
 
-    /// Routes one request; a compute handler charges `cache` with the
-    /// dispatch-cache movement on the schema it ran on.
+    /// Routes one request; a compute handler fills in `charge`.
     fn route(
         &self,
         method: &str,
         path: &str,
         query: &str,
         body: &[u8],
-        cache: &mut DispatchCacheStats,
+        charge: &mut Charge,
     ) -> Result<Response, ApiError> {
         let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
         match (method, segments.as_slice()) {
@@ -347,7 +352,7 @@ impl Api {
             ("GET", ["v1", "stats"]) => Ok(self.stats()),
             ("GET", ["v1", "debug", "requests"]) => Ok(self.debug_requests()),
             (m, ["v1", "tenants", tenant, "schemas", name]) => self.schemas(m, tenant, name, body),
-            ("POST", ["v1", verb]) => self.compute(verb, body, cache),
+            ("POST", ["v1", verb]) => self.compute(verb, body, charge),
             (_, ["healthz" | "metrics"])
             | (_, ["v1", "stats"])
             | (_, ["v1", "debug", "requests"]) => Err(ApiError {
@@ -606,12 +611,7 @@ impl Api {
         })
     }
 
-    fn compute(
-        &self,
-        verb: &str,
-        body: &[u8],
-        cache: &mut DispatchCacheStats,
-    ) -> Result<Response, ApiError> {
+    fn compute(&self, verb: &str, body: &[u8], charge: &mut Charge) -> Result<Response, ApiError> {
         let req = ComputeRequest::parse(verb, body)?;
         if req.delay_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(
@@ -619,7 +619,7 @@ impl Api {
             ));
         }
         match verb {
-            "project" => self.project(&req, cache),
+            "project" => self.project(&req, charge),
             "applicable" | "lint" | "analyze" | "explain" => {
                 let schema = self.read_schema(&req)?;
                 let before = schema.dispatch_cache_stats();
@@ -629,10 +629,10 @@ impl Api {
                     "analyze" => self.analyze(&schema, &req),
                     _ => self.explain(&schema, &req),
                 };
-                *cache = schema.dispatch_cache_stats().delta(&before);
+                charge.cache = schema.dispatch_cache_stats().delta(&before);
                 result
             }
-            "batch" => self.batch(&req, cache),
+            "batch" => self.batch(&req, charge),
             other => Err(ApiError {
                 status: 404,
                 message: format!("no such endpoint: POST /v1/{other}"),
@@ -694,20 +694,20 @@ impl Api {
         Ok((source, projection))
     }
 
-    fn project(
-        &self,
-        req: &ComputeRequest,
-        cache: &mut DispatchCacheStats,
-    ) -> Result<Response, ApiError> {
+    fn project(&self, req: &ComputeRequest, charge: &mut Charge) -> Result<Response, ApiError> {
         let mut schema = self.resolve(req)?;
         let at_fork = schema.dispatch_cache_stats();
         let response = self.view(&schema, req).and_then(|(source, projection)| {
             let options = ProjectionOptions::default();
             let d = project(&mut schema, source, &projection, &options)
                 .map_err(|e| bad(e.to_string()))?;
+            charge.invariant_violations = d
+                .invariants
+                .as_ref()
+                .map_or(0, |r| r.violations.len() as u64);
             Ok(Response::json(200, derivation_json(&schema, &d)))
         });
-        *cache = schema.dispatch_cache_stats().delta(&at_fork);
+        charge.cache = schema.dispatch_cache_stats().delta(&at_fork);
         response
     }
 
@@ -793,11 +793,7 @@ impl Api {
         ))
     }
 
-    fn batch(
-        &self,
-        req: &ComputeRequest,
-        cache: &mut DispatchCacheStats,
-    ) -> Result<Response, ApiError> {
+    fn batch(&self, req: &ComputeRequest, charge: &mut Charge) -> Result<Response, ApiError> {
         let requests_text = req.requests.as_deref().ok_or_else(|| {
             bad("missing `requests` (request-file text, one `Type: attrs` per line)")
         })?;
@@ -825,7 +821,8 @@ impl Api {
         deriver.warm();
         let outcome = deriver.run(&requests);
         let s = &outcome.stats;
-        *cache = s.cache;
+        charge.cache = s.cache;
+        charge.invariant_violations = s.invariant_violations as u64;
         Ok(Response::json(
             200,
             format!(

@@ -169,6 +169,60 @@ fn client_trace_id_is_visible_on_every_observability_surface() {
     telemetry::set_enabled(false);
 }
 
+/// A flight-recorder record counts the I1–I5 violations of its own
+/// derivation only. The registry's `core/invariant_violations` total is
+/// shared by every request (and here by the test process), so a traced
+/// `project` that is still running while the total moves by 7 must
+/// still record 0: its derivation reported none.
+#[test]
+fn a_record_counts_only_its_own_invariant_violations() {
+    const TRACE: &str = "0af7651916cd43dd8448eb211c80319c";
+    let (server, addr, runner) = start(ServerConfig::default());
+    let put = http_request(
+        &addr,
+        "PUT",
+        "/v1/tenants/acme/schemas/hr",
+        &[],
+        Some(SCHEMA.as_bytes()),
+    )
+    .unwrap();
+    assert_eq!(put.status, 201, "{}", put.body);
+
+    let request = {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            let traceparent = format!("00-{TRACE}-00f067aa0ba902b7-01");
+            let body = "{\"tenant\": \"acme\", \"schema\": \"hr\", \"type\": \"Employee\", \
+                        \"attrs\": [\"SSN\", \"pay_rate\"], \"delay_ms\": 300}";
+            http_request(
+                &addr,
+                "POST",
+                "/v1/project",
+                &[("traceparent", &traceparent)],
+                Some(body.as_bytes()),
+            )
+            .unwrap()
+        })
+    };
+    // Land inside the request's 300 ms delay.
+    thread::sleep(std::time::Duration::from_millis(100));
+    telemetry::metrics::counter("core/invariant_violations").add(7);
+    let reply = request.join().unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+
+    let debug = http_request(&addr, "GET", "/v1/debug/requests", &[], None).unwrap();
+    stop(&server, runner);
+    let at = debug
+        .body
+        .find(TRACE)
+        .unwrap_or_else(|| panic!("flight recorder misses trace {TRACE}: {}", debug.body));
+    let record = &debug.body[at..at + debug.body[at..].find('}').unwrap()];
+    assert!(
+        record.ends_with("\"invariant_violations\": 0"),
+        "a concurrent violation was charged to this request: {record}"
+    );
+}
+
 /// The SLO window math is deterministic at its boundaries: quantiles
 /// report bucket upper bounds, samples expire exactly at 60s, and slot
 /// reuse discards the stale second.

@@ -6,7 +6,9 @@
 //! it is warm, and after mutations (a full projection derivation) that
 //! invalidate it via the generation counter. The one-pass
 //! `methods_applicable_to_type` scan, which every index build starts
-//! from, is held to its per-method filter the same way.
+//! from, is held to its per-method filter the same way, and the
+//! hierarchy queries it and the cache's staleness closure read are held
+//! to `is_subtype`.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -128,8 +130,89 @@ fn assert_scan_matches_filter(schema: &Schema) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The hierarchy queries against `is_subtype`, for every type id
+/// (retired ones included): `ancestor_set(t)` is every `u` with
+/// `t <= u`; `descendant_set({t})` is `t` plus every live `x <= t`; a
+/// seed set picked by `pick` gives the union of its seeds' sets; and
+/// `descendants(t)` ascends.
+fn assert_queries_match_is_subtype(schema: &Schema, pick: u64) -> Result<(), TestCaseError> {
+    let all: Vec<TypeId> = (0..schema.n_types()).map(TypeId::from_index).collect();
+    let below = |t: TypeId| -> BTreeSet<TypeId> {
+        let live = all.iter().copied().filter(|&x| schema.is_live(x));
+        live.filter(|&x| schema.is_subtype(x, t))
+            .chain([t])
+            .collect()
+    };
+    let lists = schema.subtype_lists();
+    for &t in &all {
+        let above: BTreeSet<TypeId> = all
+            .iter()
+            .copied()
+            .filter(|&u| schema.is_subtype(t, u))
+            .collect();
+        prop_assert_eq!(
+            schema.ancestor_set(t).iter().collect::<BTreeSet<_>>(),
+            above
+        );
+        let down: Vec<TypeId> = lists.descendant_set([t]).iter().collect();
+        prop_assert_eq!(down.iter().copied().collect::<BTreeSet<_>>(), below(t));
+        let descendants = schema.descendants(t);
+        prop_assert!(
+            descendants.windows(2).all(|w| w[0] < w[1]),
+            "{:?}",
+            descendants
+        );
+    }
+    if !all.is_empty() {
+        let seeds: Vec<TypeId> = (0..3)
+            .map(|k| all[(pick >> (k * 16)) as usize % all.len()])
+            .collect();
+        let union: BTreeSet<TypeId> = seeds.iter().flat_map(|&s| below(s)).collect();
+        let set = schema.descendant_set(seeds.iter().copied());
+        prop_assert_eq!(set.iter().collect::<BTreeSet<_>>(), union);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn hierarchy_queries_match_is_subtype(
+        params in params_strategy(),
+        depth in 1usize..4,
+        keep in 0.3f64..1.0,
+        proj_seed in any::<u64>(),
+    ) {
+        let mut schema = random_schema(&params);
+        assert_queries_match_is_subtype(&schema, proj_seed)?;
+
+        // The schemas of the scan test below: stacked projections, then
+        // minimization (retired slots), then a type with no CPL.
+        let mut source = deepest_type(&schema);
+        let mut views = BTreeSet::new();
+        for k in 0..depth {
+            let projection =
+                random_projection(&schema, source, keep, proj_seed.wrapping_add(k as u64));
+            if projection.is_empty() {
+                break;
+            }
+            let d = project(&mut schema, source, &projection, &ProjectionOptions::fast())
+                .unwrap();
+            views.insert(d.derived);
+            source = d.derived;
+            assert_queries_match_is_subtype(&schema, proj_seed.rotate_left(k as u32 + 1))?;
+        }
+        minimize_surrogates(&mut schema, &views).unwrap();
+        assert_queries_match_is_subtype(&schema, !proj_seed)?;
+
+        let a = deepest_type(&schema);
+        let x = schema.add_type("Inc_X", &[]).unwrap();
+        let p = schema.add_type("Inc_P", &[a, x]).unwrap();
+        let q = schema.add_type("Inc_Q", &[x, a]).unwrap();
+        schema.add_type("Inc_R", &[p, q]).unwrap();
+        assert_queries_match_is_subtype(&schema, proj_seed ^ 0x5EED)?;
+    }
 
     #[test]
     fn one_pass_applicable_scan_matches_the_per_method_filter(

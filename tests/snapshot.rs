@@ -243,3 +243,74 @@ fn resealed_out_of_range_ids_and_cycles_are_corrupt() {
         assert!(snapshot_info(&tampered).is_err(), "{what}");
     }
 }
+
+/// The byte offsets of every type id in a snapshot's ranks section (each
+/// table's key and each `(type, rank)` entry's type), with the section's
+/// row in the section table.
+fn rank_type_id_offsets(bytes: &[u8]) -> (usize, Vec<usize>) {
+    let word = |at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&bytes[at..at + n]);
+        u64::from_le_bytes(le) as usize
+    };
+    let row = (0..word(12, 4))
+        .map(|i| 16 + i * 28)
+        .find(|&row| word(row, 4) == 8)
+        .expect("a ranks section");
+    let mut at = word(row + 4, 8);
+    let mut offsets = Vec::new();
+    let tables = word(at, 4);
+    at += 4;
+    for _ in 0..tables {
+        offsets.push(at);
+        let len = word(at + 4, 4);
+        at += 8;
+        for _ in 0..len {
+            offsets.push(at);
+            at += 8;
+        }
+    }
+    (row, offsets)
+}
+
+#[test]
+fn a_resealed_rank_table_errs_instead_of_panicking() {
+    use typederive::model::{CallArg, Schema};
+    let bytes = sample_bytes();
+    let (row, offsets) = rank_type_id_offsets(&bytes);
+    let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap()) as usize;
+    let (start, len) = (word(&bytes, row + 4), word(&bytes, row + 12));
+    let opts = typederive::derive::ProjectionOptions::default();
+    let view = typederive::workload::figures::FIG4_PROJECTION;
+    // Every single-argument dispatch of the loaded schema; true if any
+    // of them is an error.
+    let dispatch_errs = |schema: &Schema| {
+        let types: Vec<_> = schema.live_type_ids().collect();
+        schema
+            .gf_ids()
+            .filter(|&g| schema.gf(g).arity == 1)
+            .any(|g| {
+                (types.iter()).any(|&t| schema.rank_applicable(g, &[CallArg::Object(t)]).is_err())
+            })
+    };
+    let mut errs = 0;
+    for at in offsets {
+        // Rewrite one type id to 0, reseal the section and the trailer.
+        let mut tampered = bytes.clone();
+        tampered[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        let checksum = fnv1a(&tampered[start..start + len]);
+        tampered[row + 20..row + 28].copy_from_slice(&checksum.to_le_bytes());
+        let Ok((mut schema, _)) = load_snapshot(&reseal(tampered)) else {
+            continue;
+        };
+        // A derivation reports a failed dispatch as an I5 violation.
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let failed = dispatch_errs(&schema);
+            let _ = typederive::derive::project_named(&mut schema, "A", view, &opts);
+            failed
+        }))
+        .unwrap_or_else(|_| panic!("rank type id at byte {at} rewritten to 0 panicked"));
+        errs += usize::from(failed);
+    }
+    assert!(errs > 0, "no rewritten rank table made dispatch fail");
+}
