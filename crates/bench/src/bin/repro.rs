@@ -434,16 +434,27 @@ fn time_us<F: FnMut()>(n: usize, mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// [`time_us`] of `f` on each of `inputs`, taken in `rounds` rounds that
+/// time every input once, in turn: a slow host phase lands on all of
+/// them instead of on one, so the ratios between their minima hold.
+fn interleaved_us<I>(rounds: usize, inputs: &[I], mut f: impl FnMut(&I)) -> Vec<f64> {
+    let mut mins = vec![f64::INFINITY; inputs.len()];
+    for _ in 0..rounds {
+        for (min, input) in mins.iter_mut().zip(inputs) {
+            *min = min.min(time_us(1, || f(input)));
+        }
+    }
+    mins
+}
+
 fn scale_experiments(report: &mut Report) {
     // SCALE-A: IsApplicable vs call-graph depth — expect ~linear growth.
-    let mut times = Vec::new();
-    for depth in [10usize, 100, 1000] {
-        let w = call_chain_workload(depth);
-        let t = time_us(50, || {
-            compute_applicability(&w.schema, w.source, &w.projection, false).unwrap();
-        });
-        times.push((depth, t));
-    }
+    let depths = [10usize, 100, 1000];
+    let workloads: Vec<_> = depths.iter().map(|&d| call_chain_workload(d)).collect();
+    let mins = interleaved_us(50, &workloads, |w| {
+        compute_applicability(&w.schema, w.source, &w.projection, false).unwrap();
+    });
+    let times: Vec<(usize, f64)> = depths.into_iter().zip(mins).collect();
     let ratio = times[2].1 / times[0].1;
     // Gate on the depth-1000/depth-100 step: the depth-10 denominator is
     // a ~5µs measurement and too noisy to anchor a ±30% threshold.
@@ -465,21 +476,19 @@ fn scale_experiments(report: &mut Report) {
     );
 
     // SCALE-F: full projection vs hierarchy depth.
-    let mut times = Vec::new();
-    for depth in [8usize, 64, 512] {
-        let w = chain_workload(depth);
-        let t = time_us(30, || {
-            let mut schema = w.schema.clone();
-            td_core::project(
-                &mut schema,
-                w.source,
-                &w.projection,
-                &ProjectionOptions::fast(),
-            )
-            .unwrap();
-        });
-        times.push((depth, t));
-    }
+    let depths = [8usize, 64, 512];
+    let workloads: Vec<_> = depths.iter().map(|&d| chain_workload(d)).collect();
+    let mins = interleaved_us(30, &workloads, |w| {
+        let mut schema = w.schema.clone();
+        td_core::project(
+            &mut schema,
+            w.source,
+            &w.projection,
+            &ProjectionOptions::fast(),
+        )
+        .unwrap();
+    });
+    let times: Vec<(usize, f64)> = depths.into_iter().zip(mins).collect();
     let ratio = times[2].1 / times[0].1;
     // Same anchoring trick as SCALE-A: gate the depth-512/depth-64 step.
     report.metric("ratio_scale_f_time_8x_depth", times[2].1 / times[1].1);

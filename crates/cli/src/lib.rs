@@ -1,7 +1,9 @@
 //! # td-cli — the `tdv` command-line tool
 //!
-//! A thin, testable command layer over the typederive library. Schemas
-//! are read from files in the text DSL ([`td_model::text`]).
+//! A thin, testable command layer over the typederive library. A schema
+//! argument is a text DSL file ([`td_model::text`]) or a binary snapshot
+//! from `tdv snapshot save`: one reader loads a file that starts with the
+//! snapshot magic ([`td_model::is_snapshot`]) and parses anything else.
 //!
 //! ```text
 //! tdv check     <schema.td>                         parse + validate + stats
@@ -21,13 +23,20 @@
 //! tdv serve     [addr] [flags]                      run the multi-tenant derivation server
 //! tdv client    <addr> <METHOD> <path> [body|@file] one HTTP request against a server
 //! tdv top       <addr>                              live ops console over /v1/stats
+//! tdv watch     <addr> --tenant T --schema S        stream a schema's change feed
 //! tdv trace-verify <trace.json>                     validate a Chrome trace artifact
+//! tdv snapshot  save|load|inspect …                 binary schema snapshots
 //! ```
 //!
 //! Every command accepts `--trace <file>` (write a Chrome trace-event
 //! JSON of the run, loadable in Perfetto) and `--metrics` (append the
 //! flat span/metrics summary to the output); both turn the `td_telemetry`
 //! collection switch on for the duration of the command.
+//!
+//! One parser reads every command line against one declaration per
+//! command of its switches and valued flags. A valued flag takes
+//! `--flag=value` or the next argument; any other `--` argument is an
+//! error.
 //!
 //! Every command is a pure function from arguments to output text, so the
 //! test suite drives [`run`] directly.
@@ -42,9 +51,9 @@ use td_baselines::{
     audit_all, DerivationStrategy, LocalEdgeStrategy, PaperStrategy, RootPlacementStrategy,
     StandaloneStrategy,
 };
-use td_core::{explain, project, ProjectionOptions};
+use td_core::{explain, project, ProjectionOptions, Violation};
 use td_driver::BatchDeriver;
-use td_model::{parse_schema, parse_schema_lenient, AnalysisPrecision, AttrId, Schema, TypeId};
+use td_model::{parse_schema, parse_schema_lenient, AttrId, MethodId, Schema, TextError, TypeId};
 use td_store::{parse_objects, Database, Value};
 
 /// A CLI failure: message plus suggested exit code.
@@ -80,7 +89,7 @@ USAGE:
   tdv show       <schema.td>
   tdv dot        <schema.td>
   tdv applicable <schema.td> <Type> <attr,attr,…>
-  tdv project    <schema.td> <Type> <attr,attr,…> [--json] [--snapshot]
+  tdv project    <schema.td> <Type> <attr,attr,…> [--json]
   tdv lint       <schema.td> [<Type> <attr,attr,…>] [--json] [--sarif]
                  [--deny warnings]
   tdv analyze    <schema.td> [<Type> <attr,attr,…>] [--json] [--sarif]
@@ -113,7 +122,8 @@ batch request files hold one `Type: attr,attr,…` projection per line
 `applicable`, `project`, `batch` and `stats` classify methods with the
 condensation index, falling back to the paper's §4.1 stack algorithm
 for the calls the index cannot decide. Every command rejects a flag it
-does not take.
+does not take. A flag's value follows it as the next argument or after
+`=` (--threads 4 or --threads=4).
 
 `lint` runs the TDL static checks (dispatch ambiguity, precedence
 conflicts, optimistic-cycle audit, projection safety, Augment hazards)
@@ -180,10 +190,189 @@ Events print as they arrive; --max-events N exits after N events
 `snapshot save` parses a schema, warms every derivation cache and
 writes a versioned, checksummed binary snapshot; `load` restores it
 (O(file) — no parse, no re-derivation); `inspect` prints the section
-table, metadata and content counts. `project` accepts --snapshot to
-read its schema argument as a .tds snapshot instead of text — the
-derivation output is byte-identical either way (CI enforces this).
+table, metadata and content counts. Wherever another command takes a
+schema file, it reads a .tds snapshot too, told apart from text by its
+magic bytes; `project`'s output is byte-identical either way (CI
+enforces this).
 ";
+
+/// The flags one command takes, each list space-separated: switches
+/// (`--json`) and flags that take a value (`--deny warnings` or
+/// `--deny=warnings`).
+struct Command {
+    name: &'static str,
+    switches: &'static str,
+    values: &'static str,
+}
+
+impl Command {
+    const fn new(name: &'static str, switches: &'static str, values: &'static str) -> Command {
+        Command {
+            name,
+            switches,
+            values,
+        }
+    }
+}
+
+/// Every command and its flags, declared once.
+const COMMANDS: &[Command] = &[
+    Command::new("check", "", ""),
+    Command::new("show", "", ""),
+    Command::new("dot", "", ""),
+    Command::new("applicable", "", ""),
+    Command::new("project", "--json", ""),
+    Command::new("lint", "--json --sarif", "--deny"),
+    Command::new("analyze", "--json --sarif", "--deny --precision"),
+    Command::new("batch", "", ""),
+    Command::new("stats", "", ""),
+    Command::new("explain", "", ""),
+    Command::new("audit", "", ""),
+    Command::new("extent", "", ""),
+    Command::new("call", "", ""),
+    Command::new(
+        "serve",
+        "",
+        "--port-file --threads --io-threads --queue-slots --snapshot-dir --access-log \
+         --slow-trace-dir --slow-threshold-ms --slo-objective-ms",
+    ),
+    Command::new("client", "", "--trace-id"),
+    Command::new("top", "", "--interval --iterations"),
+    Command::new("trace-verify", "", ""),
+    Command::new("watch", "", "--tenant --schema --type --attrs --max-events"),
+    Command::new("snapshot", "", ""),
+];
+
+/// `--trace <file>` and `--metrics`, which every command takes.
+const GLOBAL: Command = Command::new("", "--metrics", "--trace");
+
+/// `help` (also `--help` and `-h`) prints USAGE whatever follows it.
+const HELP: Command = Command::new("help", "", "");
+
+fn unknown_command(name: &str) -> CliError {
+    fail(format!("unknown command `{name}`\n\n{USAGE}"))
+}
+
+/// The error for a valued flag with nothing after it. `--trace`, `--deny`
+/// and `--precision` name what they expect.
+fn missing_value(command: &str, flag: &str) -> CliError {
+    fail(match flag {
+        "--trace" => "--trace: missing output file".to_string(),
+        "--deny" => "--deny: missing value (warnings)".to_string(),
+        "--precision" => "--precision: missing value (syntactic|semantic)".to_string(),
+        _ => format!("{command}: {flag} needs a value"),
+    })
+}
+
+/// Parses a number argument; `error` words the failure.
+fn number<T: std::str::FromStr>(text: &str, error: impl FnOnce() -> String) -> Result<T, CliError> {
+    text.parse().map_err(|_| fail(error()))
+}
+
+/// One command line, read against its command's declaration.
+struct Line<'a> {
+    command: &'static Command,
+    /// The arguments that are not flags, in order.
+    args: Vec<&'a str>,
+    /// Every flag given, in order, with its value (`None` for a switch).
+    flags: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Line<'a> {
+    /// Walks `args` (without the program name) once. The first argument
+    /// that is not a global flag names the command. A declared switch is
+    /// set; a declared valued flag takes `=value` or the next argument,
+    /// whatever it looks like; any other `--` argument after the command
+    /// fails; the rest are positional.
+    fn parse(args: &'a [String]) -> Result<Line<'a>, CliError> {
+        let mut command: Option<&'static Command> = None;
+        let mut positional = Vec::new();
+        let mut flags = Vec::new();
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) if name.starts_with("--") => (name, Some(value)),
+                _ => (arg, None),
+            };
+            let declared = |list: fn(&Command) -> &'static str| {
+                let mut lists = [Some(&GLOBAL), command].into_iter().flatten().map(list);
+                lists.find_map(|list| list.split_whitespace().find(|&flag| flag == name))
+            };
+            if let Some(flag) = declared(|c| c.values) {
+                let value = inline
+                    .or_else(|| it.next())
+                    .ok_or_else(|| missing_value(command.map_or("", |c| c.name), flag))?;
+                flags.push((flag, Some(value)));
+            } else if let Some(flag) = declared(|c| c.switches).filter(|_| inline.is_none()) {
+                flags.push((flag, None));
+            } else if let Some(command) = command {
+                if arg.starts_with("--") && command.name != HELP.name {
+                    return Err(fail(format!("{}: unknown flag {arg}", command.name)));
+                }
+                positional.push(arg);
+            } else if matches!(arg, "help" | "--help" | "-h") {
+                command = Some(&HELP);
+            } else {
+                let found = COMMANDS.iter().find(|c| c.name == arg);
+                command = Some(found.ok_or_else(|| unknown_command(arg))?);
+            }
+        }
+        Ok(Line {
+            command: command.ok_or_else(|| fail(USAGE))?,
+            args: positional,
+            flags,
+        })
+    }
+
+    /// Positional argument `i`, counted from the one after the command.
+    fn arg(&self, i: usize) -> Option<&'a str> {
+        self.args.get(i).copied()
+    }
+
+    /// Whether switch `name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.flags.iter().any(|&(flag, _)| flag == name)
+    }
+
+    /// The value of the last `name` flag given.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        let mut given = self.flags.iter().rev();
+        given.find(|&&(flag, _)| flag == name).and_then(|&(_, v)| v)
+    }
+
+    /// The value of flag `name` as a number.
+    fn number<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let command = self.command.name;
+        let error = || format!("{command}: {name} must be a number");
+        self.value(name).map(|v| number(v, error)).transpose()
+    }
+}
+
+/// Reads a schema argument. A file that starts with the snapshot magic
+/// is loaded as a snapshot; anything else is TDL text for `parse`
+/// ([`parse_schema`], or [`parse_schema_lenient`] where structural
+/// problems should become diagnostics).
+fn read_schema(
+    path: Option<&str>,
+    parse: fn(&str) -> Result<Schema, TextError>,
+) -> Result<Schema, CliError> {
+    let path = path.ok_or_else(|| fail("missing schema file argument"))?;
+    let bytes = std::fs::read(path).map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
+    let schema = if td_model::is_snapshot(&bytes) {
+        td_model::load_snapshot(&bytes)
+            .map(|(schema, _meta)| schema)
+            .map_err(|e| e.to_string())
+    } else {
+        // `fs::read_to_string`'s wording, which text files have always got.
+        let text = String::from_utf8(bytes).map_err(|_| {
+            fail(format!(
+                "cannot read `{path}`: stream did not contain valid UTF-8"
+            ))
+        })?;
+        parse(&text).map_err(|e| e.to_string())
+    };
+    schema.map_err(|e| fail(format!("{path}: {e}")))
+}
 
 /// Connects to a server's `GET /v1/watch` change feed and streams SSE
 /// frames to stdout as they arrive. With `max_events > 0`, returns after
@@ -371,152 +560,22 @@ fn top_frame(addr: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Strips `--json` and `--deny warnings` / `--deny=warnings` out of
-/// `args` for the `lint` command, returning the remaining positional
-/// arguments and the two switches.
-fn extract_lint_flags(args: &[String]) -> Result<(Vec<String>, bool, bool), CliError> {
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json = true;
-        } else if let Some(level) = a.strip_prefix("--deny=") {
-            deny_lint_level(level)?;
-            deny_warnings = true;
-        } else if a == "--deny" {
-            let level = it
-                .next()
-                .ok_or_else(|| fail("--deny: missing value (warnings)"))?;
-            deny_lint_level(level)?;
-            deny_warnings = true;
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((rest, json, deny_warnings))
-}
-
-/// Telemetry switches shared by every command.
-#[derive(Debug, Default)]
-struct TelemetryFlags {
-    /// `--trace <file>`: write a Chrome trace-event JSON of the run.
-    trace: Option<String>,
-    /// `--metrics`: append the flat span/metrics summary to the output.
-    metrics: bool,
-}
-
-impl TelemetryFlags {
-    fn active(&self) -> bool {
-        self.trace.is_some() || self.metrics
-    }
-}
-
-/// Strips `--trace <file>` / `--trace=<file>` and `--metrics` out of
-/// `args`, returning the remaining positional arguments and the flags.
-fn extract_telemetry_flags(args: &[String]) -> Result<(Vec<String>, TelemetryFlags), CliError> {
-    let mut flags = TelemetryFlags::default();
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(path) = a.strip_prefix("--trace=") {
-            flags.trace = Some(path.to_string());
-        } else if a == "--trace" {
-            let path = it
-                .next()
-                .ok_or_else(|| fail("--trace: missing output file"))?;
-            flags.trace = Some(path.clone());
-        } else if a == "--metrics" {
-            flags.metrics = true;
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((rest, flags))
-}
-
-/// Fails with `<command>: unknown flag <flag>` on the first `--` argument
-/// left in `args`. Each command calls it after taking its own flags, so
-/// a typo never passes as a positional argument or goes unnoticed.
-fn reject_flags(command: &str, args: &[String]) -> Result<(), CliError> {
-    match args.iter().find(|a| a.starts_with("--")) {
-        Some(flag) => Err(fail(format!("{command}: unknown flag {flag}"))),
-        None => Ok(()),
-    }
-}
-
-/// Strips a boolean `name` switch out of `args`, reporting whether it
-/// was present.
-fn extract_switch(args: &[String], name: &str) -> (Vec<String>, bool) {
-    let mut found = false;
-    let rest = args
-        .iter()
-        .filter(|a| {
-            let hit = a.as_str() == name;
-            found |= hit;
-            !hit
-        })
-        .cloned()
-        .collect();
-    (rest, found)
-}
-
-/// Strips `--precision <syntactic|semantic>` / `--precision=<p>` out of
-/// `args`. Absent means [`AnalysisPrecision::Syntactic`], the default.
-fn extract_precision_flag(args: &[String]) -> Result<(Vec<String>, AnalysisPrecision), CliError> {
-    let mut precision = AnalysisPrecision::default();
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if let Some(v) = a.strip_prefix("--precision=") {
-            Some(v.to_string())
-        } else if a == "--precision" {
-            Some(
-                it.next()
-                    .ok_or_else(|| fail("--precision: missing value (syntactic|semantic)"))?
-                    .clone(),
-            )
-        } else {
-            rest.push(a.clone());
-            None
-        };
-        if let Some(v) = value {
-            precision = v
-                .parse()
-                .map_err(|e: String| fail(format!("--precision: {e}")))?;
-        }
-    }
-    Ok((rest, precision))
-}
-
-fn deny_lint_level(level: &str) -> Result<(), CliError> {
-    if level == "warnings" {
-        Ok(())
-    } else {
-        Err(fail(format!(
-            "--deny: unknown level `{level}` (only `warnings` is supported)"
-        )))
-    }
-}
-
 /// Runs one command. `args` excludes the program name. Returns the text
 /// to print on success.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let (args, mut telemetry) = extract_telemetry_flags(args)?;
+    let line = Line::parse(args)?;
+    let trace = line.value("--trace");
     // `stats` IS the metrics exporter, so it forces collection on.
-    if args.first().is_some_and(|c| c == "stats") {
-        telemetry.metrics = true;
-    }
-    if !telemetry.active() {
-        return run_command(&args);
+    let metrics = line.switch("--metrics") || line.command.name == "stats";
+    if trace.is_none() && !metrics {
+        return run_command(&line);
     }
     // Collect from a clean slate, and always restore the disabled default
     // — even when the command fails.
     td_telemetry::set_enabled(true);
     let _ = td_telemetry::drain();
     td_telemetry::metrics::reset();
-    let result = run_command(&args);
+    let result = run_command(&line);
     td_telemetry::set_enabled(false);
     let events = td_telemetry::drain();
     // Ring overflow is silent at collection time; surface it so a
@@ -528,12 +587,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let snapshot = td_telemetry::metrics::snapshot();
     td_telemetry::metrics::reset();
     let mut out = result?;
-    if let Some(path) = &telemetry.trace {
+    if let Some(path) = trace {
         std::fs::write(path, td_telemetry::chrome_trace(&events))
             .map_err(|e| fail(format!("--trace: cannot write `{path}`: {e}")))?;
         let _ = writeln!(out, "trace: {} spans written to {path}", events.len());
     }
-    if telemetry.metrics {
+    if metrics {
         if !out.is_empty() && !out.ends_with("\n\n") {
             out.push('\n');
         }
@@ -542,22 +601,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn run_command(args: &[String]) -> Result<String, CliError> {
-    let Some(command) = args.first() else {
-        return Err(fail(USAGE));
-    };
-    match command.as_str() {
+fn run_command(line: &Line<'_>) -> Result<String, CliError> {
+    match line.command.name {
         "check" => {
-            reject_flags("check", args)?;
-            let schema = load(args.get(1))?;
+            let schema = read_schema(line.arg(0), parse_schema)?;
             let mut out = String::new();
             let _ = writeln!(out, "schema OK");
             let _ = writeln!(out, "{}", schema.stats());
             Ok(out)
         }
         "show" => {
-            reject_flags("show", args)?;
-            let schema = load(args.get(1))?;
+            let schema = read_schema(line.arg(0), parse_schema)?;
             let mut out = String::new();
             let _ = writeln!(out, "{}", schema.render_hierarchy());
             let _ = writeln!(out, "{}", schema.render_methods());
@@ -565,14 +619,12 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "dot" => {
-            reject_flags("dot", args)?;
-            let schema = load(args.get(1))?;
+            let schema = read_schema(line.arg(0), parse_schema)?;
             Ok(schema.render_dot())
         }
         "applicable" => {
-            reject_flags("applicable", args)?;
-            let schema = load(args.get(1))?;
-            let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
+            let schema = read_schema(line.arg(0), parse_schema)?;
+            let (source, projection) = view_args(&schema, line.arg(1), line.arg(2))?;
             let r = td_core::compute_applicability_indexed(&schema, source, &projection, false)
                 .map_err(|e| fail(e.to_string()))?;
             let mut out = String::new();
@@ -597,15 +649,8 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "project" => {
-            let (args, json) = extract_switch(args, "--json");
-            let (args, from_snapshot) = extract_switch(&args, "--snapshot");
-            reject_flags("project", &args)?;
-            let mut schema = if from_snapshot {
-                load_snapshot_file(args.get(1))?.0
-            } else {
-                load(args.get(1))?
-            };
-            let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
+            let mut schema = read_schema(line.arg(0), parse_schema)?;
+            let (source, projection) = view_args(&schema, line.arg(1), line.arg(2))?;
             let d = project(
                 &mut schema,
                 source,
@@ -614,7 +659,7 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             )
             .map_err(|e| fail(e.to_string()))?;
             schema.dispatch_cache_stats().publish();
-            if json {
+            if line.switch("--json") {
                 // The canonical machine-readable record — the same
                 // renderer the server's /v1/project endpoint uses, so
                 // the two outputs compare byte for byte (the CI smoke
@@ -625,122 +670,71 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             let mut out = String::new();
             let _ = writeln!(out, "{}", d.summary(&schema));
             let _ = writeln!(out, "{}", schema.render_hierarchy());
-            if !d.invariants_ok() {
-                return Err(fail(format!(
-                    "{out}\nINVARIANT VIOLATIONS: {:#?}",
-                    d.invariants
-                )));
+            if d.invariants_ok() {
+                return Ok(out);
             }
-            Ok(out)
+            for v in d.invariants.iter().flat_map(|r| &r.violations) {
+                let _ = writeln!(out, "{}", violation_line(&schema, v));
+            }
+            Err(fail(out.trim_end()))
         }
-        "lint" => {
-            let (args, sarif) = extract_switch(args, "--sarif");
-            let (args, json, deny_warnings) = extract_lint_flags(&args)?;
-            reject_flags("lint", &args)?;
-            let path = args
-                .get(1)
-                .ok_or_else(|| fail("missing schema file argument"))?;
-            let src = std::fs::read_to_string(path)
-                .map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
+        command @ ("lint" | "analyze") => {
+            let precision = match line.value("--precision") {
+                Some(p) => p
+                    .parse()
+                    .map_err(|e: String| fail(format!("--precision: {e}")))?,
+                None => Default::default(),
+            };
+            let deny_warnings = match line.value("--deny") {
+                None => false,
+                Some("warnings") => true,
+                Some(level) => {
+                    return Err(fail(format!(
+                        "--deny: unknown level `{level}` (only `warnings` is supported)"
+                    )))
+                }
+            };
             // Lenient parse: structural problems (precedence conflicts,
             // dangling references, …) become TDL diagnostics instead of a
             // load failure. Lex/syntax errors still fail here.
-            let schema = parse_schema_lenient(&src).map_err(|e| fail(format!("{path}: {e}")))?;
-            let request = if args.get(2).is_some() {
-                Some(view_args(&schema, args.get(2), args.get(3))?)
-            } else {
-                None
+            let schema = read_schema(line.arg(0), parse_schema_lenient)?;
+            let view = match line.arg(1) {
+                Some(_) => Some(view_args(&schema, line.arg(1), line.arg(2))?),
+                None => None,
             };
-            let report = td_core::lint(&schema, request.as_ref().map(|(t, a)| (*t, a)));
+            let request = view.as_ref().map(|(t, a)| (*t, a));
+            let (report, stats) = if command == "lint" {
+                (td_core::lint(&schema, request), None)
+            } else {
+                let outcome = td_analyze::analyze(&schema, request, precision);
+                (outcome.report, Some(outcome.stats))
+            };
             schema.dispatch_cache_stats().publish();
-            let out = if sarif {
-                report.render_sarif("td-lint")
-            } else if json {
+            let out = if line.switch("--sarif") {
+                report.render_sarif(&format!("td-{command}"))
+            } else if line.switch("--json") {
                 report.render_json()
             } else {
-                report.render_text()
+                let mut out = report.render_text();
+                if let Some(stats) = &stats {
+                    analysis_footer(&mut out, stats);
+                }
+                out
             };
             if report.fails(deny_warnings) {
-                Err(CliError {
-                    message: out,
-                    code: 1,
-                })
-            } else {
-                Ok(out)
-            }
-        }
-        "analyze" => {
-            let (args, sarif) = extract_switch(args, "--sarif");
-            let (args, precision) = extract_precision_flag(&args)?;
-            let (args, json, deny_warnings) = extract_lint_flags(&args)?;
-            reject_flags("analyze", &args)?;
-            let path = args
-                .get(1)
-                .ok_or_else(|| fail("missing schema file argument"))?;
-            let src = std::fs::read_to_string(path)
-                .map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
-            let schema = parse_schema_lenient(&src).map_err(|e| fail(format!("{path}: {e}")))?;
-            let request = if args.get(2).is_some() {
-                Some(view_args(&schema, args.get(2), args.get(3))?)
-            } else {
-                None
-            };
-            let outcome =
-                td_analyze::analyze(&schema, request.as_ref().map(|(t, a)| (*t, a)), precision);
-            schema.dispatch_cache_stats().publish();
-            let mut out = if sarif {
-                outcome.report.render_sarif("td-analyze")
-            } else if json {
-                outcome.report.render_json()
-            } else {
-                outcome.report.render_text()
-            };
-            if !sarif && !json {
-                let stats = &outcome.stats;
-                let _ = writeln!(
-                    out,
-                    "analysis: precision {}, schema pass {} µs{}, request pass {} µs{}",
-                    stats.precision,
-                    stats.schema_micros,
-                    if stats.schema_cached { " (cached)" } else { "" },
-                    stats.request_micros,
-                    if stats.request_cached {
-                        " (cached)"
-                    } else {
-                        ""
-                    },
-                );
-                if let Some(ratio) = stats.demotion_ratio() {
-                    let _ = writeln!(
-                        out,
-                        "semantic footprints: {} of {} fallback method(s) demoted ({:.0}%)",
-                        stats.fallback_syntactic - stats.fallback_semantic,
-                        stats.fallback_syntactic,
-                        ratio * 100.0,
-                    );
-                }
-            }
-            if outcome.report.fails(deny_warnings) {
-                Err(CliError {
-                    message: out,
-                    code: 1,
-                })
+                Err(fail(out))
             } else {
                 Ok(out)
             }
         }
         "batch" => {
-            reject_flags("batch", args)?;
-            let schema = load(args.get(1))?;
-            let path = args
-                .get(2)
+            let schema = read_schema(line.arg(0), parse_schema)?;
+            let path = line
+                .arg(1)
                 .ok_or_else(|| fail("batch: missing requests file argument"))?;
-            let threads = args
-                .get(3)
-                .map(|t| {
-                    t.parse::<usize>()
-                        .map_err(|_| fail(format!("batch: `{t}` is not a thread count")))
-                })
+            let threads = line
+                .arg(2)
+                .map(|t| number(t, || format!("batch: `{t}` is not a thread count")))
                 .transpose()?;
             let src = std::fs::read_to_string(path)
                 .map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
@@ -757,16 +751,12 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             if outcome.all_ok() {
                 Ok(out)
             } else {
-                Err(CliError {
-                    message: out,
-                    code: 1,
-                })
+                Err(fail(out))
             }
         }
         "stats" => {
-            reject_flags("stats", args)?;
-            let mut schema = load(args.get(1))?;
-            let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
+            let mut schema = read_schema(line.arg(0), parse_schema)?;
+            let (source, projection) = view_args(&schema, line.arg(1), line.arg(2))?;
             let d = project(
                 &mut schema,
                 source,
@@ -781,11 +771,10 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             ))
         }
         "explain" => {
-            reject_flags("explain", args)?;
-            let schema = load(args.get(1))?;
-            let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
-            let label = args
-                .get(4)
+            let schema = read_schema(line.arg(0), parse_schema)?;
+            let (source, projection) = view_args(&schema, line.arg(1), line.arg(2))?;
+            let label = line
+                .arg(3)
                 .ok_or_else(|| fail("explain: missing method label"))?;
             let method = schema
                 .method_by_label(label)
@@ -818,62 +807,28 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "serve" => {
-            let mut config = td_server::ServerConfig {
-                addr: "127.0.0.1:7171".to_string(),
-                ..Default::default()
+            let defaults = td_server::ServerConfig::default();
+            let owned = |flag| line.value(flag).map(str::to_string);
+            let config = td_server::ServerConfig {
+                addr: line.args.last().unwrap_or(&"127.0.0.1:7171").to_string(),
+                exec_threads: line.number("--threads")?.unwrap_or(defaults.exec_threads),
+                io_threads: line.number("--io-threads")?.unwrap_or(defaults.io_threads),
+                queue_slots: line
+                    .number("--queue-slots")?
+                    .unwrap_or(defaults.queue_slots),
+                snapshot_dir: owned("--snapshot-dir"),
+                access_log: owned("--access-log"),
+                slow_trace_dir: owned("--slow-trace-dir"),
+                slow_threshold_us: line
+                    .number::<u64>("--slow-threshold-ms")?
+                    .map(|ms| ms.saturating_mul(1_000)),
+                slo_objective_us: line
+                    .number::<u64>("--slo-objective-ms")?
+                    .map_or(defaults.slo_objective_us, |ms| {
+                        ms.saturating_mul(1_000).max(1)
+                    }),
+                ..defaults
             };
-            let mut port_file: Option<String> = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| fail(format!("serve: {flag} needs a value")))
-                };
-                match a.as_str() {
-                    "--port-file" => port_file = Some(value("--port-file")?),
-                    "--snapshot-dir" => {
-                        config.snapshot_dir = Some(value("--snapshot-dir")?);
-                    }
-                    "--threads" => {
-                        config.exec_threads = value("--threads")?
-                            .parse()
-                            .map_err(|_| fail("serve: --threads must be a number"))?;
-                    }
-                    "--io-threads" => {
-                        config.io_threads = value("--io-threads")?
-                            .parse()
-                            .map_err(|_| fail("serve: --io-threads must be a number"))?;
-                    }
-                    "--queue-slots" => {
-                        config.queue_slots = value("--queue-slots")?
-                            .parse()
-                            .map_err(|_| fail("serve: --queue-slots must be a number"))?;
-                    }
-                    "--access-log" => {
-                        config.access_log = Some(value("--access-log")?);
-                    }
-                    "--slow-trace-dir" => {
-                        config.slow_trace_dir = Some(value("--slow-trace-dir")?);
-                    }
-                    "--slow-threshold-ms" => {
-                        let ms: u64 = value("--slow-threshold-ms")?
-                            .parse()
-                            .map_err(|_| fail("serve: --slow-threshold-ms must be a number"))?;
-                        config.slow_threshold_us = Some(ms.saturating_mul(1_000));
-                    }
-                    "--slo-objective-ms" => {
-                        let ms: u64 = value("--slo-objective-ms")?
-                            .parse()
-                            .map_err(|_| fail("serve: --slo-objective-ms must be a number"))?;
-                        config.slo_objective_us = ms.saturating_mul(1_000).max(1);
-                    }
-                    flag if flag.starts_with("--") => {
-                        return Err(fail(format!("serve: unknown flag {flag}")));
-                    }
-                    addr => config.addr = addr.to_string(),
-                }
-            }
             let server = td_server::Server::bind(config)
                 .map_err(|e| fail(format!("serve: cannot bind: {e}")))?;
             // Before the port file appears, so a SIGTERM sent as soon as
@@ -882,7 +837,7 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             let addr = server
                 .local_addr()
                 .map_err(|e| fail(format!("serve: {e}")))?;
-            if let Some(path) = &port_file {
+            if let Some(path) = line.value("--port-file") {
                 std::fs::write(path, addr.to_string())
                     .map_err(|e| fail(format!("serve: cannot write --port-file `{path}`: {e}")))?;
             }
@@ -892,35 +847,17 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             Ok("tdv serve: drained in-flight requests and stopped\n".to_string())
         }
         "client" => {
-            let mut trace_arg: Option<String> = None;
-            let mut positional: Vec<&String> = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--trace-id" => {
-                        trace_arg = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| fail("client: --trace-id needs a value"))?,
-                        );
-                    }
-                    flag if flag.starts_with("--") => {
-                        return Err(fail(format!("client: unknown flag {flag}")));
-                    }
-                    _ => positional.push(a),
-                }
-            }
-            let addr = positional
-                .first()
+            let addr = line
+                .arg(0)
                 .ok_or_else(|| fail("client: missing server address (host:port)"))?;
-            let method = positional
-                .get(1)
+            let method = line
+                .arg(1)
                 .ok_or_else(|| fail("client: missing HTTP method"))?
                 .to_ascii_uppercase();
-            let path = positional
-                .get(2)
+            let path = line
+                .arg(2)
                 .ok_or_else(|| fail("client: missing request path"))?;
-            let body = match positional.get(3) {
+            let body = match line.arg(3) {
                 None => None,
                 Some(arg) => match arg.strip_prefix('@') {
                     Some(file) => Some(
@@ -930,7 +867,7 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
                     None => Some(arg.as_bytes().to_vec()),
                 },
             };
-            let trace = match &trace_arg {
+            let trace = match line.value("--trace-id") {
                 Some(s) => Some(td_telemetry::TraceId::parse(s).ok_or_else(|| {
                     fail("client: --trace-id must be 32 hex digits (or a traceparent header)")
                 })?),
@@ -957,43 +894,18 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             }
         }
         "top" => {
-            let mut addr: Option<String> = None;
-            let mut interval_ms: u64 = 1_000;
-            let mut iterations: u64 = 0;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--interval" | "--iterations" => {
-                        let v: u64 = it
-                            .next()
-                            .ok_or_else(|| fail(format!("top: {a} needs a value")))?
-                            .parse()
-                            .map_err(|_| fail(format!("top: {a} must be a number")))?;
-                        if a == "--interval" {
-                            interval_ms = v.max(50);
-                        } else {
-                            iterations = v;
-                        }
-                    }
-                    flag if flag.starts_with("--") => {
-                        return Err(fail(format!("top: unknown flag {flag}")));
-                    }
-                    positional => {
-                        if addr.is_some() {
-                            return Err(fail(format!("top: unexpected argument `{positional}`")));
-                        }
-                        addr = Some(positional.to_string());
-                    }
-                }
-            }
-            let addr = addr.ok_or_else(|| fail("top: missing server address (host:port)"))?;
+            let interval_ms = line
+                .number::<u64>("--interval")?
+                .map_or(1_000, |v| v.max(50));
+            let iterations = line.number::<u64>("--iterations")?.unwrap_or(0);
+            let addr = one_address(line)?;
             // --iterations N: render N frames to stdout and return
             // (scripting/CI). Without it, redraw in place until the
             // server goes away.
             let mut out = String::new();
             let mut frame_no: u64 = 0;
             loop {
-                let frame = top_frame(&addr)?;
+                let frame = top_frame(addr)?;
                 frame_no += 1;
                 if iterations > 0 {
                     if frame_no > 1 {
@@ -1013,9 +925,8 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             }
         }
         "trace-verify" => {
-            reject_flags("trace-verify", args)?;
-            let path = args
-                .get(1)
+            let path = line
+                .arg(0)
                 .ok_or_else(|| fail("trace-verify: missing trace file"))?;
             let text = std::fs::read_to_string(path)
                 .map_err(|e| fail(format!("trace-verify: cannot read `{path}`: {e}")))?;
@@ -1040,58 +951,26 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             ))
         }
         "watch" => {
-            let mut addr = None;
-            let mut tenant = None;
-            let mut schema = None;
-            let mut type_name = None;
-            let mut attrs = None;
-            let mut max_events: u64 = 0;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--tenant" | "--schema" | "--type" | "--attrs" | "--max-events" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| fail(format!("watch: {a} needs a value")))?;
-                        match a.as_str() {
-                            "--tenant" => tenant = Some(v.clone()),
-                            "--schema" => schema = Some(v.clone()),
-                            "--type" => type_name = Some(v.clone()),
-                            "--attrs" => attrs = Some(v.clone()),
-                            _ => {
-                                max_events = v
-                                    .parse()
-                                    .map_err(|_| fail("watch: --max-events must be a number"))?;
-                            }
-                        }
-                    }
-                    flag if flag.starts_with("--") => {
-                        return Err(fail(format!("watch: unknown flag {flag}")));
-                    }
-                    positional => {
-                        if addr.is_some() {
-                            return Err(fail(format!("watch: unexpected argument `{positional}`")));
-                        }
-                        addr = Some(positional.to_string());
-                    }
-                }
-            }
-            let addr = addr.ok_or_else(|| fail("watch: missing server address (host:port)"))?;
-            let tenant = tenant.ok_or_else(|| fail("watch: --tenant is required"))?;
-            let schema = schema.ok_or_else(|| fail("watch: --schema is required"))?;
+            let max_events = line.number::<u64>("--max-events")?.unwrap_or(0);
+            let addr = one_address(line)?;
+            let tenant = line
+                .value("--tenant")
+                .ok_or_else(|| fail("watch: --tenant is required"))?;
+            let schema = line
+                .value("--schema")
+                .ok_or_else(|| fail("watch: --schema is required"))?;
             let mut query = format!("tenant={tenant}&schema={schema}");
-            if let Some(t) = &type_name {
+            if let Some(t) = line.value("--type") {
                 let _ = write!(query, "&type={t}");
             }
-            if let Some(a) = &attrs {
+            if let Some(a) = line.value("--attrs") {
                 let _ = write!(query, "&attrs={a}");
             }
-            watch_stream(&addr, &query, max_events)
+            watch_stream(addr, &query, max_events)
         }
         "audit" => {
-            reject_flags("audit", args)?;
-            let schema = load(args.get(1))?;
-            let (source, projection) = view_args(&schema, args.get(2), args.get(3))?;
+            let schema = read_schema(line.arg(0), parse_schema)?;
+            let (source, projection) = view_args(&schema, line.arg(1), line.arg(2))?;
             let strategies: Vec<&dyn DerivationStrategy> = vec![
                 &PaperStrategy,
                 &StandaloneStrategy,
@@ -1105,9 +984,8 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "extent" => {
-            reject_flags("extent", args)?;
-            let (db, names) = load_db(args.get(1), args.get(2))?;
-            let ty = args.get(3).ok_or_else(|| fail("missing type argument"))?;
+            let (db, names) = load_db(line.arg(0), line.arg(1))?;
+            let ty = line.arg(2).ok_or_else(|| fail("missing type argument"))?;
             let ty = db.schema().type_id(ty).map_err(|e| fail(e.to_string()))?;
             let mut out = String::new();
             for obj in db.deep_extent(ty) {
@@ -1133,16 +1011,15 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "call" => {
-            reject_flags("call", args)?;
-            let (mut db, names) = load_db(args.get(1), args.get(2))?;
-            let gf_name = args
-                .get(3)
+            let (mut db, names) = load_db(line.arg(0), line.arg(1))?;
+            let gf_name = line
+                .arg(2)
                 .ok_or_else(|| fail("missing generic-function argument"))?;
             let gf = db
                 .schema()
                 .gf_id(gf_name)
                 .map_err(|e| fail(e.to_string()))?;
-            let raw = args.get(4).map(String::as_str).unwrap_or("");
+            let raw = line.arg(3).unwrap_or("");
             let values = raw
                 .split(',')
                 .filter(|s| !s.is_empty())
@@ -1151,103 +1028,202 @@ fn run_command(args: &[String]) -> Result<String, CliError> {
             let result = db.call(gf, &values).map_err(|e| fail(e.to_string()))?;
             Ok(format!("{result}\n"))
         }
-        "snapshot" => {
-            reject_flags("snapshot", args)?;
-            match args.get(1).map(String::as_str) {
-                Some("save") => {
-                    let path = args
-                        .get(2)
-                        .ok_or_else(|| fail("snapshot save: missing schema file argument"))?;
-                    let out_path = args
-                        .get(3)
-                        .ok_or_else(|| fail("snapshot save: missing output file argument"))?;
-                    let schema = load(Some(path))?;
-                    // Warm every derivation cache first: the point of a
-                    // snapshot is that loading it skips both the parse and
-                    // the derivation warm-up.
-                    schema.warm_caches();
-                    let meta = [("source".to_string(), path.clone())];
-                    td_model::write_snapshot_file(&schema, &meta, out_path)
-                        .map_err(|e| fail(e.to_string()))?;
-                    let bytes = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
-                    Ok(format!(
-                        "wrote {out_path}: {bytes} bytes, format v{}, {} types, {} methods\n",
-                        td_model::SNAPSHOT_VERSION,
-                        schema.n_types(),
-                        schema.n_methods()
-                    ))
+        "snapshot" => match line.arg(0) {
+            Some("save") => {
+                let path = line
+                    .arg(1)
+                    .ok_or_else(|| fail("snapshot save: missing schema file argument"))?;
+                let out_path = line
+                    .arg(2)
+                    .ok_or_else(|| fail("snapshot save: missing output file argument"))?;
+                let schema = read_schema(Some(path), parse_schema)?;
+                // Warm every derivation cache first: the point of a
+                // snapshot is that loading it skips both the parse and
+                // the derivation warm-up.
+                schema.warm_caches();
+                let meta = [("source".to_string(), path.to_string())];
+                td_model::write_snapshot_file(&schema, &meta, out_path)
+                    .map_err(|e| fail(e.to_string()))?;
+                let bytes = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
+                Ok(format!(
+                    "wrote {out_path}: {bytes} bytes, format v{}, {} types, {} methods\n",
+                    td_model::SNAPSHOT_VERSION,
+                    schema.n_types(),
+                    schema.n_methods()
+                ))
+            }
+            Some("load") => {
+                // A snapshot only: a text file fails with `bad magic`.
+                let path = line
+                    .arg(1)
+                    .ok_or_else(|| fail("missing snapshot file argument"))?;
+                let (schema, _meta) =
+                    td_model::read_snapshot_file(path).map_err(|e| fail(format!("{path}: {e}")))?;
+                let stats = schema.dispatch_cache_stats();
+                let mut out = String::new();
+                let _ = writeln!(out, "snapshot OK");
+                let _ = writeln!(out, "{}", schema.stats());
+                let _ = writeln!(
+                    out,
+                    "warm caches: {} cpl/rank entries, {} dispatch entries, {} indexes",
+                    stats.cpl_entries, stats.dispatch_entries, stats.index_entries
+                );
+                Ok(out)
+            }
+            Some("inspect") => {
+                let path = line
+                    .arg(1)
+                    .ok_or_else(|| fail("snapshot inspect: missing snapshot file argument"))?;
+                let bytes =
+                    std::fs::read(path).map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
+                let info = td_model::snapshot_info(&bytes).map_err(|e| fail(e.to_string()))?;
+                let mut out = String::new();
+                let _ = writeln!(
+                    out,
+                    "{path}: format v{}, {} bytes",
+                    info.version, info.file_bytes
+                );
+                for (key, value) in &info.meta {
+                    let _ = writeln!(out, "  meta {key} = {value:?}");
                 }
-                Some("load") => {
-                    let (schema, _) = load_snapshot_file(args.get(2))?;
-                    let stats = schema.dispatch_cache_stats();
-                    let mut out = String::new();
-                    let _ = writeln!(out, "snapshot OK");
-                    let _ = writeln!(out, "{}", schema.stats());
+                for (name, len, checksum) in &info.sections {
                     let _ = writeln!(
                         out,
-                        "warm caches: {} cpl/rank entries, {} dispatch entries, {} indexes",
-                        stats.cpl_entries, stats.dispatch_entries, stats.index_entries
+                        "  section {name:<9} {len:>9} bytes  fnv1a {checksum:016x}"
                     );
-                    Ok(out)
                 }
-                Some("inspect") => {
-                    let path = args
-                        .get(2)
-                        .ok_or_else(|| fail("snapshot inspect: missing snapshot file argument"))?;
-                    let bytes = std::fs::read(path)
-                        .map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
-                    let info = td_model::snapshot_info(&bytes).map_err(|e| fail(e.to_string()))?;
-                    let mut out = String::new();
-                    let _ = writeln!(
-                        out,
-                        "{path}: format v{}, {} bytes",
-                        info.version, info.file_bytes
-                    );
-                    for (key, value) in &info.meta {
-                        let _ = writeln!(out, "  meta {key} = {value:?}");
-                    }
-                    for (name, len, checksum) in &info.sections {
-                        let _ = writeln!(
-                            out,
-                            "  section {name:<9} {len:>9} bytes  fnv1a {checksum:016x}"
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "  {} names, {} types, {} attrs, {} gfs, {} methods",
-                        info.n_names, info.n_types, info.n_attrs, info.n_gfs, info.n_methods
-                    );
-                    let _ = writeln!(
-                        out,
-                        "  warm: {} cpl/rank entries, {} dispatch entries, {} indexes",
-                        info.cpl_entries, info.dispatch_entries, info.index_entries
-                    );
-                    Ok(out)
-                }
-                _ => Err(fail(
-                    "snapshot: expected a subcommand\n\n\
+                let _ = writeln!(
+                    out,
+                    "  {} names, {} types, {} attrs, {} gfs, {} methods",
+                    info.n_names, info.n_types, info.n_attrs, info.n_gfs, info.n_methods
+                );
+                let _ = writeln!(
+                    out,
+                    "  warm: {} cpl/rank entries, {} dispatch entries, {} indexes",
+                    info.cpl_entries, info.dispatch_entries, info.index_entries
+                );
+                Ok(out)
+            }
+            _ => Err(fail(
+                "snapshot: expected a subcommand\n\n\
                  USAGE:\n  tdv snapshot save    <schema.td> <out.tds>\n  \
                  tdv snapshot load    <file.tds>\n  \
                  tdv snapshot inspect <file.tds>",
-                )),
-            }
-        }
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(fail(format!("unknown command `{other}`\n\n{USAGE}"))),
+            )),
+        },
+        "help" => Ok(USAGE.to_string()),
+        other => Err(unknown_command(other)),
     }
 }
 
-/// Loads a binary snapshot file as (schema, metadata).
-fn load_snapshot_file(path: Option<&String>) -> Result<(Schema, Vec<(String, String)>), CliError> {
-    let path = path.ok_or_else(|| fail("missing snapshot file argument"))?;
-    td_model::read_snapshot_file(path).map_err(|e| fail(format!("{path}: {e}")))
+/// The one server address `top` and `watch` take.
+fn one_address<'a>(line: &Line<'a>) -> Result<&'a str, CliError> {
+    let command = line.command.name;
+    if let Some(extra) = line.arg(1) {
+        return Err(fail(format!("{command}: unexpected argument `{extra}`")));
+    }
+    line.arg(0)
+        .ok_or_else(|| fail(format!("{command}: missing server address (host:port)")))
+}
+
+/// Appends `analyze`'s accounting lines to its text report.
+fn analysis_footer(out: &mut String, stats: &td_analyze::AnalysisStats) {
+    let cached = |hit: bool| if hit { " (cached)" } else { "" };
+    let _ = writeln!(
+        out,
+        "analysis: precision {}, schema pass {} µs{}, request pass {} µs{}",
+        stats.precision,
+        stats.schema_micros,
+        cached(stats.schema_cached),
+        stats.request_micros,
+        cached(stats.request_cached),
+    );
+    if let Some(ratio) = stats.demotion_ratio() {
+        let _ = writeln!(
+            out,
+            "semantic footprints: {} of {} fallback method(s) demoted ({:.0}%)",
+            stats.fallback_syntactic - stats.fallback_semantic,
+            stats.fallback_syntactic,
+            ratio * 100.0,
+        );
+    }
+}
+
+/// One line for an I1–I5 violation, naming types, generic functions and
+/// methods as the derivation summary does.
+fn violation_line(schema: &Schema, v: &Violation) -> String {
+    let list = |names: Vec<&str>| {
+        if names.is_empty() {
+            "none".to_string()
+        } else {
+            names.join(", ")
+        }
+    };
+    let attrs = |ids: &[AttrId]| list(ids.iter().map(|&a| schema.attr_name(a)).collect());
+    let methods = |ids: &[MethodId]| list(ids.iter().map(|&m| schema.method_label(m)).collect());
+    let ty = |t: TypeId| schema.type_name(t);
+    match v {
+        Violation::StateChanged {
+            ty: t,
+            missing,
+            extra,
+        } => format!(
+            "violated I1 (state): {} lost {}; gained {}",
+            ty(*t),
+            attrs(missing),
+            attrs(extra)
+        ),
+        Violation::DispatchChanged {
+            gf,
+            args,
+            before,
+            after,
+        } => format!(
+            "violated I2 (behavior): {}({}) dispatched to {}, now to {}",
+            schema.gf_name(*gf),
+            args.iter().map(|&t| ty(t)).collect::<Vec<_>>().join(", "),
+            methods(before.as_slice()),
+            methods(after.as_slice())
+        ),
+        Violation::DerivedStateWrong {
+            derived,
+            missing,
+            extra,
+        } => format!(
+            "violated I3 (derived state): {} lacks {}; has extra {}",
+            ty(*derived),
+            attrs(missing),
+            attrs(extra)
+        ),
+        Violation::DerivedBehaviorWrong {
+            derived,
+            missing,
+            extra,
+        } => format!(
+            "violated I4 (derived behavior): {} lacks {}; inherits extra {}",
+            ty(*derived),
+            methods(missing),
+            methods(extra)
+        ),
+        Violation::SchemaInvalid(e) => format!("violated I5 (well-formedness): {e}"),
+        Violation::SubtypeChanged {
+            sub,
+            sup,
+            before,
+            after,
+        } => format!(
+            "violated subtype preservation: {} <: {} was {before}, is {after}",
+            ty(*sub),
+            ty(*sup)
+        ),
+    }
 }
 
 fn load_db(
-    schema_path: Option<&String>,
-    data_path: Option<&String>,
+    schema_path: Option<&str>,
+    data_path: Option<&str>,
 ) -> Result<(Database, std::collections::HashMap<String, td_store::ObjId>), CliError> {
-    let schema = load(schema_path)?;
+    let schema = read_schema(schema_path, parse_schema)?;
     let mut db = Database::new(schema);
     let path = data_path.ok_or_else(|| fail("missing data file argument"))?;
     let src =
@@ -1286,17 +1262,10 @@ fn parse_value(
     )))
 }
 
-fn load(path: Option<&String>) -> Result<Schema, CliError> {
-    let path = path.ok_or_else(|| fail("missing schema file argument"))?;
-    let src =
-        std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read `{path}`: {e}")))?;
-    parse_schema(&src).map_err(|e| fail(format!("{path}: {e}")))
-}
-
 fn view_args(
     schema: &Schema,
-    ty: Option<&String>,
-    attrs: Option<&String>,
+    ty: Option<&str>,
+    attrs: Option<&str>,
 ) -> Result<(TypeId, BTreeSet<AttrId>), CliError> {
     let ty = ty.ok_or_else(|| fail("missing source type argument"))?;
     let attrs = attrs.ok_or_else(|| fail("missing attribute list argument"))?;
@@ -1494,7 +1463,7 @@ mod tests {
         // The snapshot path and the text path derive byte-identically.
         let view = ["Employee", "SSN,pay_rate,hrs_worked"];
         let from_text = run_ok(&["project", f.to_str().unwrap(), view[0], view[1], "--json"]);
-        let from_snap = run_ok(&["project", &tds, view[0], view[1], "--json", "--snapshot"]);
+        let from_snap = run_ok(&["project", &tds, view[0], view[1], "--json"]);
         assert_eq!(from_text, from_snap);
 
         let e = run_err(&["snapshot", "inspect", f.to_str().unwrap()]);
@@ -1782,6 +1751,26 @@ mod tests {
             ),
             (vec!["check", path, "--strict"], "--strict"),
             (vec!["snapshot", "inspect", path, "--all"], "--all"),
+            (vec!["show", path, "--json"], "--json"),
+            (vec!["dot", "--rankdir=LR", path], "--rankdir=LR"),
+            (vec!["audit", path, "A", "a2", "--json"], "--json"),
+            (vec!["extent", path, path, "A", "--deep"], "--deep"),
+            (vec!["call", path, path, "u1", "--dry-run"], "--dry-run"),
+            (vec!["serve", "127.0.0.1:0", "--port", "7171"], "--port"),
+            (
+                vec!["client", "127.0.0.1:1", "GET", "/healthz", "--header", "x"],
+                "--header",
+            ),
+            (vec!["top", "--once", "127.0.0.1:1"], "--once"),
+            (
+                vec!["watch", "127.0.0.1:1", "--tenant", "t", "--follow"],
+                "--follow",
+            ),
+            (vec!["trace-verify", path, "--strict"], "--strict"),
+            // A switch takes no value, and reading a snapshot needs no
+            // flag: the schema reader knows one by its magic bytes.
+            (vec!["project", path, "A", "a2", "--json=1"], "--json=1"),
+            (vec!["project", path, "A", "a2", "--snapshot"], "--snapshot"),
         ] {
             let e = run_err(&line);
             assert_eq!(e.code, 1, "{line:?}");
@@ -1791,6 +1780,291 @@ mod tests {
         let out = run_ok(&["batch", path, reqs]);
         assert!(out.contains("1 requests, 1 ok"), "{out}");
         assert!(out.contains("lint:"), "{out}");
+    }
+
+    #[test]
+    fn valued_flags_take_the_next_argument_or_an_equals_value() {
+        // Every valued flag of every command, and the global `--trace`:
+        // `--f v` and `--f=v` read alike, wherever the flag sits, and the
+        // value runs to the end of the argument.
+        let strings = |line: &[&str]| line.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let globals = GLOBAL.values.split_whitespace().map(|flag| ("check", flag));
+        let declared = COMMANDS
+            .iter()
+            .flat_map(|c| c.values.split_whitespace().map(move |flag| (c.name, flag)));
+        let mut checked = 0;
+        for (command, flag) in globals.chain(declared) {
+            let joined = format!("{flag}=v=1");
+            let split = strings(&[command, "a", flag, "v=1", "b"]);
+            let joined = strings(&[command, "a", &joined, "b"]);
+            for args in [&split, &joined] {
+                let line = Line::parse(args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+                assert_eq!(line.command.name, command);
+                assert_eq!(line.args, ["a", "b"], "{args:?}");
+                assert_eq!(line.value(flag), Some("v=1"), "{args:?}");
+            }
+            checked += 1;
+        }
+        // 20 flags; lint and analyze both declare `--deny`.
+        assert_eq!(checked, 21);
+        // An empty argument is positional, never a flag.
+        let args = strings(&["project", "", "--json"]);
+        let line = Line::parse(&args).unwrap();
+        assert_eq!((line.switch("--json"), line.args), (true, vec![""]));
+    }
+
+    #[test]
+    fn equals_values_fail_like_split_values() {
+        let f = fixture("equals", FIG3);
+        let path = f.to_str().unwrap();
+        let addr = "127.0.0.1:1";
+        for (line, flag, value, wording) in [
+            (
+                vec!["serve"],
+                "--threads",
+                "x",
+                "serve: --threads must be a number",
+            ),
+            (vec!["serve"], "--io-threads", "x", "must be a number"),
+            (vec!["serve"], "--queue-slots", "-1", "must be a number"),
+            (
+                vec!["serve"],
+                "--slow-threshold-ms",
+                "x",
+                "must be a number",
+            ),
+            (
+                vec!["serve"],
+                "--slo-objective-ms",
+                "1.5",
+                "must be a number",
+            ),
+            (
+                vec!["top", addr],
+                "--interval",
+                "x",
+                "top: --interval must be",
+            ),
+            (vec!["top", addr], "--iterations", "x", "must be a number"),
+            (
+                vec!["watch", addr, "--tenant", "t", "--schema", "s"],
+                "--max-events",
+                "x",
+                "watch: --max-events must be a number",
+            ),
+            (
+                vec!["lint", path],
+                "--deny",
+                "errors",
+                "unknown level `errors`",
+            ),
+            (
+                vec!["analyze", path],
+                "--precision",
+                "sharp",
+                "unknown precision",
+            ),
+            (
+                vec!["client", addr, "GET", "/healthz"],
+                "--trace-id",
+                "zz",
+                "--trace-id must be",
+            ),
+        ] {
+            let joined = format!("{flag}={value}");
+            let split = run_err(&[&line[..], &[flag, value]].concat());
+            let joined = run_err(&[&line[..], &[&joined]].concat());
+            assert!(split.message.contains(wording), "{}", split.message);
+            assert_eq!(split.message, joined.message);
+            assert_eq!((split.code, joined.code), (1, 1));
+        }
+    }
+
+    #[test]
+    fn equals_values_drive_client_top_and_watch() {
+        use std::sync::Arc;
+        let server = Arc::new(
+            td_server::Server::bind(td_server::ServerConfig::default())
+                .expect("bind a loopback port"),
+        );
+        let addr = server.local_addr().unwrap().to_string();
+        let runner = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.run())
+        };
+        let trace = "--trace-id=4bf92f3577b34da6a3ce929d0e0e4736";
+        let out = run_ok(&[
+            "client",
+            &addr,
+            trace,
+            "PUT",
+            "/v1/tenants/t/schemas/s",
+            FIG1,
+        ]);
+        assert!(out.contains("\"version\": 1"), "{out}");
+        let out = run_ok(&["top", &addr, "--interval=50", "--iterations=2"]);
+        assert_eq!(out.matches("tdv top — ").count(), 2, "{out}");
+        let out = run_ok(&[
+            "watch",
+            &addr,
+            "--tenant=t",
+            "--schema=s",
+            "--type=Employee",
+            "--attrs=SSN",
+            "--max-events=1",
+        ]);
+        assert_eq!(out, "tdv watch: received 1 event(s)\n");
+        server.stop();
+        runner.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn usage_names_every_declared_command_and_flag() {
+        let words: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        for command in COMMANDS.iter().chain([&GLOBAL]) {
+            let usage_line = format!("tdv {} ", command.name);
+            assert!(
+                command.name.is_empty()
+                    || USAGE
+                        .lines()
+                        .any(|l| l.trim_start().starts_with(&usage_line)),
+                "USAGE has no `{usage_line}` line"
+            );
+            let flags = format!("{} {}", command.switches, command.values);
+            for flag in flags.split_whitespace() {
+                assert!(words.contains(flag), "USAGE does not name {flag}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_snapshot_reads_like_its_text() {
+        let fig1 = include_str!("../../../examples/schemas/fig1.td");
+        for (name, text, view) in [
+            ("fig1", fig1, ["Employee", "SSN,date_of_birth,pay_rate"]),
+            ("fig3", FIG3, ["A", "a2,e2,h2"]),
+        ] {
+            let td = fixture(&format!("reader_{name}"), text);
+            let td = td.to_str().unwrap();
+            let tds = format!("{td}s");
+            run_ok(&["snapshot", "save", td, &tds]);
+            for line in [
+                vec!["check"],
+                vec!["show"],
+                vec!["applicable", view[0], view[1]],
+                vec!["project", view[0], view[1], "--json"],
+                vec!["lint", "--json"],
+                vec!["lint", view[0], view[1], "--json"],
+                vec!["analyze", "--json"],
+                vec!["analyze", view[0], view[1], "--json"],
+            ] {
+                let on = |path: &str| run_ok(&[&line[..1], &[path], &line[1..]].concat());
+                assert_eq!(on(td), on(&tds), "{name}: {line:?}");
+            }
+            std::fs::remove_file(&tds).unwrap();
+        }
+        // Shorter than the magic is text: a 6-byte file parses (and
+        // fails) as it always did.
+        let six = fixture("reader_six", "type A");
+        let six = six.to_str().unwrap();
+        let e = run_err(&["check", six]);
+        let parse_error = parse_schema("type A").unwrap_err();
+        assert_eq!(e.message, format!("{six}: {parse_error}"));
+        // `snapshot load` takes a snapshot, never text.
+        let text = fixture("reader_text", FIG3);
+        let text = text.to_str().unwrap();
+        let e = run_err(&["snapshot", "load", text]);
+        assert_eq!(e.message, format!("{text}: not a tdv snapshot (bad magic)"));
+    }
+
+    /// FNV-1a 64, the checksum of each TDSNAP section and of the file.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn project_prints_one_line_per_violation() {
+        // A fig3 snapshot with one type id in its rank tables rewritten
+        // to 0, the ranks section and the file resealed: some of these
+        // load, derive, and fail I5.
+        let schema = parse_schema(FIG3).unwrap();
+        schema.warm_caches();
+        let bytes = td_model::save_snapshot(&schema, &[]);
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let long = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let row = (0..word(12))
+            .map(|i| 16 + i * 28)
+            .find(|&row| word(row) == 8)
+            .expect("a ranks section");
+        let (start, len) = (long(row + 4), long(row + 12));
+        // Each table's key type, then each `(type, rank)` entry's type.
+        let mut type_ids = Vec::new();
+        let mut at = start + 4;
+        for _ in 0..word(start) {
+            type_ids.push(at);
+            let entries = word(at + 4);
+            at += 8;
+            for _ in 0..entries {
+                type_ids.push(at);
+                at += 8;
+            }
+        }
+        let mut path = std::env::temp_dir();
+        path.push(format!("td_cli_test_{}_violated.tds", std::process::id()));
+        let path = path.to_str().unwrap();
+        let mut violated = 0;
+        for at in type_ids {
+            let mut tampered = bytes.clone();
+            tampered[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+            let sum = fnv1a(&tampered[start..start + len]);
+            tampered[row + 20..row + 28].copy_from_slice(&sum.to_le_bytes());
+            let end = tampered.len() - 8;
+            let sum = fnv1a(&tampered[..end]);
+            tampered[end..].copy_from_slice(&sum.to_le_bytes());
+            // The violations the same derivation reports in process.
+            let Ok((mut schema, _)) = td_model::load_snapshot(&tampered) else {
+                continue;
+            };
+            let (source, projection) = view_args(&schema, Some("A"), Some("a2,e2,h2")).unwrap();
+            let opts = ProjectionOptions::default();
+            let Ok(d) = project(&mut schema, source, &projection, &opts) else {
+                continue;
+            };
+            let report = d.invariants.as_ref().expect("checked");
+            std::fs::write(path, &tampered).unwrap();
+            let args = ["project", path, "A", "a2,e2,h2"];
+            if report.ok() {
+                run_ok(&args);
+                continue;
+            }
+            let e = run_err(&args);
+            assert_eq!(e.code, 1);
+            assert!(!e.message.contains("DispatchCacheStats"), "{}", e.message);
+            assert!(
+                e.message.contains("invariants:     VIOLATED"),
+                "{}",
+                e.message
+            );
+            // After the summary and the hierarchy: one line each.
+            let lines: Vec<String> = report
+                .violations
+                .iter()
+                .map(|v| violation_line(&schema, v))
+                .collect();
+            let tail: Vec<&str> = e.message.lines().rev().take(lines.len()).collect();
+            assert!(tail.iter().rev().eq(lines.iter()), "{}", e.message);
+            assert!(
+                lines.iter().all(|l| l.starts_with("violated I")),
+                "{lines:?}"
+            );
+            violated += 1;
+        }
+        let _ = std::fs::remove_file(path);
+        assert!(violated > 0, "no tampered snapshot violated an invariant");
     }
 
     /// The shipped Figure 3 schema (with Example 4's `z1`), reused so the

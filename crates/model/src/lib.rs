@@ -82,8 +82,8 @@ pub use intern::NameTable;
 pub use methods::{GenericFunction, Method, MethodKind, Specializer};
 pub use schema::{Schema, SchemaSnapshot};
 pub use snapshot::{
-    load_snapshot, read_snapshot_file, save_snapshot, snapshot_info, write_snapshot_file,
-    SnapshotError, SnapshotInfo, SNAPSHOT_VERSION,
+    is_snapshot, load_snapshot, read_snapshot_file, save_snapshot, snapshot_info,
+    write_snapshot_file, SnapshotError, SnapshotInfo, SNAPSHOT_VERSION,
 };
 pub use stats::{DispatchCacheStats, SchemaStats};
 pub use text::{parse_schema, parse_schema_lenient, schema_to_text, TextError};

@@ -55,6 +55,12 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 
 const MAGIC: [u8; 8] = *b"TDSNAP1\n";
 
+/// True when `bytes` start with the snapshot magic, i.e. they claim to be
+/// a snapshot and not schema text. Input shorter than the magic is not.
+pub fn is_snapshot(bytes: &[u8]) -> bool {
+    bytes.starts_with(&MAGIC)
+}
+
 // Section tags. New sections get new tags; readers skip unknown ones.
 const SECT_META: u32 = 1;
 const SECT_NAMES: u32 = 2;
@@ -828,7 +834,7 @@ fn parse_envelope(bytes: &[u8]) -> Sres<Sections<'_>> {
             offset: bytes.len(),
         });
     }
-    if bytes[..MAGIC.len()] != MAGIC {
+    if !is_snapshot(bytes) {
         return Err(SnapshotError::BadMagic);
     }
     let mut r = Reader::new(bytes);
