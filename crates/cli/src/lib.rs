@@ -119,9 +119,10 @@ call arguments: object names from the data file, or literals
 batch request files hold one `Type: attr,attr,…` projection per line
 (# starts a comment); threads defaults to the machine's cores.
 
-`applicable`, `project`, `batch` and `stats` classify methods with the
-condensation index, falling back to the paper's §4.1 stack algorithm
-for the calls the index cannot decide. Every command rejects a flag it
+`applicable`, `project`, `batch`, `stats` and `explain` classify
+methods with the condensation index, as `lint` and `analyze` do,
+falling back to the paper's §4.1 stack algorithm for the calls the
+index cannot decide. Every command rejects a flag it
 does not take. A flag's value follows it as the next argument or after
 `=` (--threads 4 or --threads=4).
 

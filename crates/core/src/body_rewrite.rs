@@ -15,6 +15,12 @@
 //! 4. re-type, in each applicable method, the local variables in the
 //!    reachability set of the converted parameters — and the method's
 //!    result type when a returned value flows from a converted parameter.
+//!
+//! Lint's TDL005 and analyze's TDL205 predict `X` before anything is
+//! derived with [`compute_x`]: the types on a supertype path from the
+//! source to an owner of a projected attribute, found by one walk up the
+//! source's ancestors, so a request's cost does not grow with the types
+//! beside or below its source.
 
 use std::collections::{BTreeSet, HashMap};
 use td_model::{AttrId, MethodId, Schema, TypeId, ValueType, VarId};
@@ -49,17 +55,19 @@ pub fn compute_y_and_z(
 
 /// The `X` of [`compute_y_and_z`] as `FactorState` will seed it, read off
 /// the hierarchy before deriving: the live types at or above `source`
-/// and at or below an owner of a projected attribute.
+/// and at or below an owner of a projected attribute — the types on a
+/// supertype path from `source` to an owner. One walk up `source`'s
+/// ancestors ([`Schema::ancestors_reaching`]) finds them, so lint and
+/// analyze pay for what lies above the source, not for the schema.
 pub fn compute_x(
     schema: &Schema,
     source: TypeId,
     projection: &BTreeSet<AttrId>,
 ) -> BTreeSet<TypeId> {
-    let below_owner = schema.descendant_set(projection.iter().map(|&a| schema.attr(a).owner));
     schema
-        .ancestor_set(source)
+        .ancestors_reaching(source, projection.iter().map(|&a| schema.attr(a).owner))
         .iter()
-        .filter(|&u| schema.is_live(u) && below_owner.contains(u))
+        .filter(|&u| schema.is_live(u))
         .collect()
 }
 

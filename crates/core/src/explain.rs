@@ -7,13 +7,19 @@
 //! semantics: a method fails either because it is an accessor for an
 //! unprojected attribute, or because some relevant call has no surviving
 //! candidate — and each candidate's failure is explained recursively.
+//!
+//! The verdicts come from [`compute_applicability_indexed`], the
+//! classifier every other read uses, so an explanation reads the
+//! source's cached condensation index and its universe instead of
+//! rescanning every method of the schema. The greatest-fixpoint oracle
+//! ([`crate::applicability_fixpoint`]) classifies identically (the
+//! property suites check it), so the proofs are the same.
 
 use std::collections::{BTreeSet, HashSet};
 use td_model::{AttrId, GfId, MethodId, Schema, TypeId};
 
-use crate::applicability::call_candidates;
+use crate::applicability::{call_candidates, compute_applicability_indexed, Applicability};
 use crate::error::Result;
-use crate::oracle::applicability_fixpoint;
 
 /// A proof tree for one method's applicability verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,30 +144,32 @@ impl Explanation {
 }
 
 /// Explains the applicability verdict of `method` for
-/// `Π_projection(source)`. Runs the fixpoint oracle internally, so the
-/// verdict agrees with [`crate::compute_applicability`].
+/// `Π_projection(source)`. Classifies with
+/// [`compute_applicability_indexed`], so the verdict is the one every
+/// other read reports.
 pub fn explain(
     schema: &Schema,
     source: TypeId,
     projection: &BTreeSet<AttrId>,
     method: MethodId,
 ) -> Result<Explanation> {
-    let alive = applicability_fixpoint(schema, source, projection)?;
+    let app = compute_applicability_indexed(schema, source, projection, false)?;
     let mut visiting = HashSet::new();
-    explain_rec(schema, source, method, &alive, &mut visiting)
+    explain_rec(schema, source, method, &app, &mut visiting)
 }
 
 fn explain_rec(
     schema: &Schema,
     source: TypeId,
     method: MethodId,
-    alive: &BTreeSet<MethodId>,
+    app: &Applicability,
     visiting: &mut HashSet<MethodId>,
 ) -> Result<Explanation> {
-    if alive.contains(&method) {
+    if app.is_applicable(method) {
         return Ok(Explanation::Applicable { method });
     }
-    if !schema.method_applicable_to_type(method, source) {
+    // The universe is in method-id order.
+    if app.universe.binary_search(&method).is_err() {
         return Ok(Explanation::NotInUniverse { method, source });
     }
     if let Some(attr) = schema.method(method).kind.accessed_attr() {
@@ -183,7 +191,7 @@ fn explain_rec(
             continue;
         }
         let (candidates, _) = call_candidates(schema, source, &site, &mut scratch);
-        if !candidates.iter().any(|c| alive.contains(c)) {
+        if !candidates.iter().any(|&c| app.is_applicable(c)) {
             failing.push((site.gf, candidates));
         }
     }
@@ -197,7 +205,7 @@ fn explain_rec(
         .unwrap_or_else(|| unreachable!("a dead non-accessor method must have a failing call"));
     let mut children = Vec::with_capacity(candidates.len());
     for c in candidates {
-        children.push(explain_rec(schema, source, c, alive, visiting)?);
+        children.push(explain_rec(schema, source, c, app, visiting)?);
     }
     visiting.remove(&method);
     Ok(Explanation::CallUnsatisfied {

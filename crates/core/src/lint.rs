@@ -45,7 +45,7 @@ use td_model::{
     Specializer, SubtypeLists, TypeId,
 };
 
-use crate::applicability::compute_applicability_indexed;
+use crate::applicability::{compute_applicability_indexed, Applicability};
 use crate::body_rewrite::{collect_flow_edges, compute_x, compute_y_and_z};
 
 /// Runs the full analyzer: the schema-wide checks (validation, TDL001,
@@ -312,7 +312,7 @@ fn lint_request_part(
     };
     {
         let _s = td_telemetry::span("lint", "behavior_free");
-        check_behavior_free(schema, source, projection, &app.applicable, &mut diags);
+        check_behavior_free(schema, source, projection, &app, &mut diags);
     }
     {
         let _s = td_telemetry::span("lint", "augment_hazards");
@@ -398,11 +398,13 @@ fn check_optimistic_cycles(schema: &Schema, source: TypeId, diags: &mut Vec<Diag
 /// TDL004: the derived type would keep attributes but no behavior. When
 /// that happens, name the load-bearing attributes — the dropped attributes
 /// whose reinstatement would revive at least one non-accessor method.
+/// Whether the source had behavior to lose is read off the request's own
+/// universe (`app.universe`).
 fn check_behavior_free(
     schema: &Schema,
     source: TypeId,
     projection: &BTreeSet<AttrId>,
-    applicable: &[MethodId],
+    app: &Applicability,
     diags: &mut Vec<Diagnostic>,
 ) {
     let non_accessor = |ms: &[MethodId]| {
@@ -410,11 +412,10 @@ fn check_behavior_free(
             .filter(|&&m| !schema.method(m).is_accessor())
             .count()
     };
-    if non_accessor(applicable) > 0 {
+    if non_accessor(&app.applicable) > 0 {
         return;
     }
-    let universe = schema.methods_applicable_to_type(source);
-    if non_accessor(&universe) == 0 {
+    if non_accessor(&app.universe) == 0 {
         // The source never had behavior; nothing was orphaned.
         return;
     }

@@ -11,6 +11,13 @@
 //! The two implementations share the call-site analysis and candidate
 //! rule but nothing else; property tests assert they always agree, which
 //! is the strongest check we have on the optimistic-cycle bookkeeping.
+//!
+//! It is a reference, not a serving path: every read (`applicable`,
+//! `project`, `batch`, `lint`, `analyze`, `explain`) classifies with the
+//! condensation index. The fixpoint's callers are the test suites, the
+//! applicability benches and the reproduction harness: its Example 1
+//! cross-check and the DEV ablation ([`crate::ablation`]), which judges
+//! the paper's literal retraction against it.
 
 use std::collections::BTreeSet;
 use td_model::{AttrId, CallArg, MethodId, Schema, TypeId};

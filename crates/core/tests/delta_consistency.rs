@@ -294,3 +294,47 @@ fn carried_caches_answer_like_a_cold_parse() {
         seeds.len()
     );
 }
+
+/// Two appended methods share the label `dup` (as every method of one
+/// generic function does when written without a label), at the deepest
+/// type and at a type not above it. The edit changes only the first
+/// one's body, to a call no method answers, which kills it under every
+/// projection: the carry must treat both methods of the label as changed,
+/// or the deepest type's index is carried stale.
+#[test]
+fn carried_caches_see_every_method_of_a_shared_label() {
+    for seed in [11, 12, 13, 14, 15, 16] {
+        let params = GenParams {
+            seed,
+            ..GenParams::default()
+        };
+        let text = schema_to_text(&random_schema(&params));
+        let printed = parse_schema(&text).expect("printed schema re-parses");
+        let first = deepest_type(&printed);
+        let above = printed.ancestor_set(first);
+        let second = printed
+            .live_type_ids()
+            .find(|&t| !above.contains(t))
+            .expect("a type beside the deepest one");
+        let (a, b) = (printed.type_name(first), printed.type_name(second));
+        let head = format!("{text}gf dup_gf(1)\ngf dup_dead(1)\n");
+        let tail = format!("method dup = dup_gf({b}) {{\n}}\n");
+        let old_text = format!("{head}method dup = dup_gf({a}) {{\n}}\n{tail}");
+        let new_text = format!("{head}method dup = dup_gf({a}) {{\n    dup_dead($0);\n}}\n{tail}");
+        let old = parse_schema(&old_text).expect("old text parses");
+        warm(&old, seed);
+        old.warm_caches();
+        let new = parse_schema(&new_text).expect("new text parses");
+        let diff = diff_schemas(&old, &new);
+        assert!(diff.ids_stable, "seed {seed}: {}", diff.summary());
+        assert_eq!(diff.changed_methods, ["dup"], "seed {seed}");
+        let report = new.carry_warm_from(&old, &diff);
+        assert!(report.indexes > 0, "seed {seed}: {report:?}");
+        let cold = parse_schema(&new_text).unwrap();
+        assert_eq!(
+            full_report(&new, seed),
+            full_report(&cold, seed),
+            "seed {seed}: a carried index missed the edit to dup({a})"
+        );
+    }
+}

@@ -480,11 +480,11 @@ impl Schema {
     /// [`ids_stable`](SchemaDiff::ids_stable); returns an empty report
     /// otherwise (ids are the cache keys, so unstable ids make every old
     /// entry meaningless here). The diff's changed and added types, its
-    /// changed generic functions and its added and changed methods feed
-    /// the same staleness closure a live mutation does; a donor entry is
-    /// carried iff its types are live here, the closure does not mark it
-    /// stale, and this cache lacks its key (existing entries are never
-    /// overwritten).
+    /// changed generic functions and every method of its added and
+    /// changed method labels feed the same staleness closure a live
+    /// mutation does; a donor entry is carried iff its types are live
+    /// here, the closure does not mark it stale, and this cache lacks its
+    /// key (existing entries are never overwritten).
     pub fn carry_warm_from(&self, donor: &Schema, diff: &SchemaDiff) -> CarryReport {
         if !diff.ids_stable {
             return CarryReport::default();
@@ -500,12 +500,15 @@ impl Schema {
             dirty.gfs.extend(self.gf_id(name).ok());
         }
         if !diff.added_methods.is_empty() || !diff.changed_methods.is_empty() {
-            let by_label: HashMap<&str, MethodId> = self
-                .method_ids()
-                .map(|m| (self.method_label(m), m))
+            // Every method of a listed label: labels can be shared.
+            let labels: HashSet<&str> = diff
+                .added_methods
+                .iter()
+                .chain(&diff.changed_methods)
+                .map(String::as_str)
                 .collect();
-            for label in diff.added_methods.iter().chain(&diff.changed_methods) {
-                if let Some(&m) = by_label.get(label.as_str()) {
+            for m in self.method_ids() {
+                if labels.contains(self.method_label(m)) {
                     dirty.methods.insert(m);
                     dirty.gfs.insert(self.method(m).gf);
                 }

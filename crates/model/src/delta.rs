@@ -118,7 +118,9 @@ pub struct SchemaDiff {
     pub added_methods: Vec<String>,
     /// Method labels present only in the old schema.
     pub removed_methods: Vec<String>,
-    /// Methods whose signature (or, when ids are stable, body) differ.
+    /// Method labels whose methods differ: in number, or in the
+    /// signature or body of a method against the one at its place (in id
+    /// order) among the other schema's methods of the label.
     pub changed_methods: Vec<String>,
     /// True iff every entity surviving from old to new keeps its exact
     /// id slot (same `TypeId`/`AttrId`/`GfId`/`MethodId` for the same
@@ -361,25 +363,31 @@ pub fn diff_schemas(old: &Schema, new: &Schema) -> SchemaDiff {
         }
     }
 
-    // -- methods (by label; labels are globally unique in practice — the
-    // parser and every generator mint one label per method)
-    let new_methods: HashMap<&str, MethodId> =
-        new.method_ids().map(|m| (new.method_label(m), m)).collect();
-    let old_methods: HashMap<&str, MethodId> =
-        old.method_ids().map(|m| (old.method_label(m), m)).collect();
+    // -- methods, by label. The DSL names a method after its generic
+    // function unless given a label, so several methods can share one:
+    // a label's methods compare as one list in id order, and the label is
+    // listed once, where its first method is.
+    let new_methods = methods_by_label(new);
+    let old_methods = methods_by_label(old);
     for m in old.method_ids() {
         let label = old.method_label(m);
+        let olds = &old_methods[label];
+        if olds[0] != m {
+            continue;
+        }
         match new_methods.get(label) {
             None => diff.removed_methods.push(label.to_string()),
-            Some(&nm) => {
+            Some(news) => {
                 // Name-level signature always compares; bodies compare
                 // through their rendered text (ids and interned names are
                 // schema-relative, so struct equality would flag every
                 // method whose name table shifted).
-                let sig_changed = method_key(old, m) != method_key(new, nm);
-                let body_changed = crate::text::method_content_text(old, m)
-                    != crate::text::method_content_text(new, nm);
-                if sig_changed || body_changed {
+                let differs = |(&o, &n): (&MethodId, &MethodId)| {
+                    method_key(old, o) != method_key(new, n)
+                        || crate::text::method_content_text(old, o)
+                            != crate::text::method_content_text(new, n)
+                };
+                if olds.len() != news.len() || olds.iter().zip(news).any(differs) {
                     diff.changed_methods.push(label.to_string());
                 }
             }
@@ -387,11 +395,20 @@ pub fn diff_schemas(old: &Schema, new: &Schema) -> SchemaDiff {
     }
     for m in new.method_ids() {
         let label = new.method_label(m);
-        if !old_methods.contains_key(label) {
+        if new_methods[label][0] == m && !old_methods.contains_key(label) {
             diff.added_methods.push(label.to_string());
         }
     }
     diff
+}
+
+/// Every method of `schema` grouped by label, each group in id order.
+fn methods_by_label(schema: &Schema) -> HashMap<&str, Vec<MethodId>> {
+    let mut by_label: HashMap<&str, Vec<MethodId>> = HashMap::new();
+    for m in schema.method_ids() {
+        by_label.entry(schema.method_label(m)).or_default().push(m);
+    }
+    by_label
 }
 
 /// What [`Schema::carry_warm_from`](crate::Schema::carry_warm_from)
@@ -459,6 +476,27 @@ mod tests {
         let d = diff_schemas(&a, &b);
         assert_eq!(d.changed_types, vec!["B"], "B lost its supertype edge");
         assert!(d.ids_stable, "in-place edits keep id slots");
+    }
+
+    /// The DSL names both methods `f`: the label's two methods compare as
+    /// a list, so neither hides the other.
+    #[test]
+    fn methods_sharing_a_label_compare_as_a_list() {
+        let text = "type A { x: int }\ntype C { z: int }\naccessors x\n";
+        let base = format!("{text}method f(A) {{}}\nmethod f(C) {{}}\n");
+        let a = parse_schema(&base).unwrap();
+        let d = diff_schemas(&a, &parse_schema(&base).unwrap());
+        assert!(d.is_empty(), "{d:?}");
+        let edited = format!("{text}method f(A) {{ get_x($0); }}\nmethod f(C) {{}}\n");
+        let d = diff_schemas(&a, &parse_schema(&edited).unwrap());
+        assert_eq!(d.changed_methods, vec!["f"], "f(A)'s body changed");
+        assert!(d.ids_stable);
+        let third = format!("{base}type E {{ w: int }}\nmethod f(E) {{}}\n");
+        let d = diff_schemas(&a, &parse_schema(&third).unwrap());
+        assert_eq!(d.changed_methods, vec!["f"], "f gained a method");
+        assert!(d.added_methods.is_empty() && d.removed_methods.is_empty());
+        let d = diff_schemas(&a, &parse_schema(text).unwrap());
+        assert_eq!(d.removed_methods, vec!["f"], "listed once");
     }
 
     #[test]

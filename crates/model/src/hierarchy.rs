@@ -218,6 +218,69 @@ impl Schema {
         above
     }
 
+    /// The members of `t`'s [`ancestor_set`](Schema::ancestor_set) from
+    /// which one of `targets` is reachable upward: every `u` with
+    /// `is_subtype(t, u)` and `is_subtype(u, g)` for some target `g`, i.e.
+    /// the types on a supertype path from `t` to a target (§6.4's `X`,
+    /// with the owners of the projected attributes as targets). Walks
+    /// only `t`'s ancestors and their edges, never the rest of the
+    /// schema. Like `ancestor_set` it reads raw edges and keeps retired
+    /// slots; a target outside `t`'s ancestors adds nothing, and a `t`
+    /// outside the type arena reads as absent.
+    pub fn ancestors_reaching(
+        &self,
+        t: TypeId,
+        targets: impl IntoIterator<Item = TypeId>,
+    ) -> TypeSet {
+        let n = self.n_types();
+        let mut reach = TypeSet::new(n);
+        if t.index() >= n {
+            return reach;
+        }
+        // `t`'s ancestors in depth-first post-order: each after its
+        // supertypes, except where an edge closes a cycle.
+        let mut above = TypeSet::new(n);
+        let mut order = Vec::new();
+        let mut stack = vec![(t, false)];
+        while let Some((x, finished)) = stack.pop() {
+            if finished {
+                order.push(x);
+                continue;
+            }
+            if above.contains(x) {
+                continue;
+            }
+            above.insert(x);
+            stack.push((x, true));
+            stack.extend(
+                self.type_(x)
+                    .super_ids()
+                    .filter(|&s| !above.contains(s))
+                    .map(|s| (s, false)),
+            );
+        }
+        for g in targets {
+            if above.contains(g) {
+                reach.insert(g);
+            }
+        }
+        // The least fixpoint of "`u` reaches a target if a direct
+        // supertype does": one pass in post-order settles a DAG, and the
+        // confirming pass (or further ones) settles a cycle.
+        loop {
+            let mut changed = false;
+            for &u in &order {
+                if !reach.contains(u) && self.type_(u).super_ids().any(|s| reach.contains(s)) {
+                    reach.insert(u);
+                    changed = true;
+                }
+            }
+            if !changed {
+                return reach;
+            }
+        }
+    }
+
     /// The seeds plus every live type below one of them (see
     /// [`SubtypeLists::descendant_set`]), through freshly built lists.
     pub fn descendant_set(&self, seeds: impl IntoIterator<Item = TypeId>) -> TypeSet {
@@ -281,19 +344,18 @@ impl Schema {
     /// inherited (each inherited once). This is the quantity invariant I1
     /// (state preservation) compares before and after factorization.
     pub fn cumulative_attrs(&self, t: TypeId) -> BTreeSet<AttrId> {
-        let mut out = BTreeSet::new();
-        for ty in self.ancestors_inclusive(t) {
-            out.extend(self.type_(ty).local_attrs.iter().copied());
-        }
-        out
+        self.ancestor_set(t)
+            .iter()
+            .flat_map(|ty| self.type_(ty).local_attrs.iter().copied())
+            .collect()
     }
 
     /// True iff attribute `attr` is local to `t` or to one of its
     /// supertypes — the paper's "available at" (§5.1).
     pub fn attr_available_at(&self, attr: AttrId, t: TypeId) -> bool {
-        self.ancestors_inclusive(t)
+        self.ancestor_set(t)
             .iter()
-            .any(|&ty| self.type_(ty).local_attrs.contains(&attr))
+            .any(|ty| self.type_(ty).local_attrs.contains(&attr))
     }
 
     /// Moves a (locally defined) attribute from its current owner to `to`,
@@ -529,6 +591,77 @@ mod tests {
         desc.sort();
         assert_eq!(desc, vec![b, c, d]);
         assert_eq!(s.direct_subtypes(a), vec![b, c]);
+    }
+
+    #[test]
+    fn ancestors_reaching_keeps_the_supertype_paths_to_a_target() {
+        let (mut s, a, b, c, d) = diamond();
+        let e = s.add_type("E", &[c]).unwrap();
+        let r = s.add_type("R", &[]).unwrap();
+        s.retire_type(r).unwrap();
+        let members = |set: TypeSet| set.iter().collect::<Vec<_>>();
+        assert_eq!(members(s.ancestors_reaching(d, [b])), vec![b, d]);
+        assert_eq!(members(s.ancestors_reaching(d, [a])), vec![a, b, c, d]);
+        assert_eq!(members(s.ancestors_reaching(d, [d])), vec![d]);
+        // Targets outside the ancestors (a sibling, a retired slot, an id
+        // past the arena) add nothing, and neither does a source past it.
+        assert!(s.ancestors_reaching(d, [e, r, TypeId(99)]).is_empty());
+        assert!(s.ancestors_reaching(TypeId(99), [a]).is_empty());
+        // B <= D closes B -> D -> B. No parser or loader admits a cycle,
+        // but validation must diagnose one, so every walk terminates on
+        // it. The walk from D finishes B before D, so reaching C through
+        // D takes the fixpoint's second pass to reach B.
+        s.type_node_mut(b)
+            .supers
+            .push(SuperLink { target: d, prec: 9 });
+        assert_eq!(members(s.ancestors_reaching(d, [c])), vec![b, c, d]);
+        assert_eq!(members(s.ancestors_reaching(b, [c])), vec![b, c, d]);
+    }
+
+    /// On a hierarchy with a cycle and a retired slot, the ancestor walks
+    /// agree with the definitions they replaced: `X`-style paths as the
+    /// ancestors that lie below a target, and cumulative state and
+    /// availability through `ancestors_inclusive`.
+    #[test]
+    fn ancestor_walks_match_their_sweeping_definitions_on_a_cycle() {
+        let (mut s, a, b, c, d) = diamond();
+        let e = s.add_type("E", &[d]).unwrap();
+        let r = s.add_type("R", &[]).unwrap();
+        s.retire_type(r).unwrap();
+        for (i, t) in [a, b, c, d, e].into_iter().enumerate() {
+            s.add_attr(format!("x{i}"), ValueType::INT, t).unwrap();
+        }
+        // C <= E closes C -> E -> D -> C.
+        s.type_node_mut(c)
+            .supers
+            .push(SuperLink { target: e, prec: 9 });
+        assert!(s.find_cycle().is_some());
+        let live: Vec<TypeId> = s.live_type_ids().collect();
+        for &t in &live {
+            let inclusive = s.ancestors_inclusive(t);
+            let cumulative: BTreeSet<AttrId> = inclusive
+                .iter()
+                .flat_map(|&u| s.type_(u).local_attrs.iter().copied())
+                .collect();
+            assert_eq!(s.cumulative_attrs(t), cumulative, "{t}");
+            for x in s.attr_ids() {
+                assert_eq!(s.attr_available_at(x, t), cumulative.contains(&x));
+            }
+            for &g in live.iter().chain([&r]) {
+                let below = s.descendant_set([g]);
+                let want: Vec<TypeId> = s
+                    .ancestor_set(t)
+                    .iter()
+                    .filter(|&u| s.is_live(u) && below.contains(u))
+                    .collect();
+                let got: Vec<TypeId> = s
+                    .ancestors_reaching(t, [g])
+                    .iter()
+                    .filter(|&u| s.is_live(u))
+                    .collect();
+                assert_eq!(got, want, "from {t} to {g}");
+            }
+        }
     }
 
     #[test]

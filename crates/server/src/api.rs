@@ -1571,6 +1571,37 @@ mod tests {
         );
     }
 
+    /// `method f(A)` and `method f(C)` share the label `f`. Editing
+    /// f(A)'s body must dirty A's carried index, or the edited schema
+    /// keeps answering from the old one.
+    #[test]
+    fn an_edit_to_a_method_sharing_its_label_is_not_carried_stale() {
+        let head = "type A { x: int  y: int }\ntype C { z: int }\naccessors x\n";
+        let base = format!("{head}method f(A) {{}}\nmethod f(C) {{}}\n");
+        let edited = format!("{head}method f(A) {{ get_x($0); }}\nmethod f(C) {{}}\n");
+        let read = |api: &Api| {
+            let body =
+                "{\"tenant\": \"t\", \"schema\": \"s\", \"type\": \"A\", \"attrs\": [\"y\"]}";
+            let r = api.handle("POST", "/v1/applicable", "", body.as_bytes());
+            assert_eq!(r.status, 200, "{}", r.body);
+            r.body
+        };
+        let api = Api::new();
+        api.handle("PUT", "/v1/tenants/t/schemas/s", "", base.as_bytes());
+        assert!(read(&api).contains("\"applicable\": [\"f\"]"));
+        let put = api.handle("PUT", "/v1/tenants/t/schemas/s", "", edited.as_bytes());
+        assert_eq!(put.status, 200, "{}", put.body);
+        assert!(
+            put.body.contains("\"diff\": \"methods ~1\""),
+            "{}",
+            put.body
+        );
+        let fresh = Api::new();
+        fresh.handle("PUT", "/v1/tenants/t/schemas/s", "", edited.as_bytes());
+        assert!(read(&fresh).contains("\"applicable\": []"));
+        assert_eq!(read(&api), read(&fresh));
+    }
+
     #[test]
     fn flight_recorder_evicts_oldest_beyond_capacity() {
         let api = Api::new();
